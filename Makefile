@@ -4,7 +4,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test chaos-smoke recovery soak migrate fleet telemetry adversary trace profile regress ci clean
+.PHONY: all build test chaos-smoke recovery soak migrate fleet telemetry adversary trace profile regress perfbench-smoke ci clean
 
 all: build
 
@@ -93,7 +93,15 @@ regress: build
 regress-update: build
 	$(DUNE) exec bin/overshadow_cli.exe -- regress --update-baselines
 
-ci: test chaos-smoke recovery soak migrate fleet telemetry adversary trace regress profile
+# Benchmark output checks: every perfbench workload for about a second,
+# traced, so cloaked = native checksums, repeat determinism, the
+# Trace.Check verdict and span nesting gate CI (perfbench/README.md).
+perfbench-smoke: build
+	for w in compute syscall_io paging fleet; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; \
+	done
+
+ci: test chaos-smoke recovery soak migrate fleet telemetry adversary trace regress profile perfbench-smoke
 
 clean:
 	$(DUNE) clean

@@ -1,14 +1,33 @@
-(* AES-128. The S-box is derived from its definition (multiplicative inverse
-   in GF(2^8) followed by the affine transform) rather than transcribed, and
-   the FIPS-197 vectors in the test suite pin the result. *)
+(* AES-128, table-driven. The S-box is derived from its definition
+   (multiplicative inverse in GF(2^8) followed by the affine transform)
+   rather than transcribed, and the four T-tables are derived from the
+   S-box in turn, so no table in this file is typed in; the FIPS-197 and
+   SP 800-38A vectors in the test suite pin the result.
+
+   The state is four big-endian 32-bit column words held in OCaml ints
+   (byte 0 of a column, row 0, is the top byte). A T-table entry folds
+   SubBytes and MixColumns for one byte position: [te0.(x)] is the column
+   (2·S(x), S(x), S(x), 3·S(x)), and [te1..te3] are its byte rotations.
+   ShiftRows is the choice of which column feeds each table. Encryption
+   allocates nothing per block or per round; [ctr_transform] allocates
+   only its output buffer (plus 16 bytes when the input ends in a partial
+   block).
+
+   T-table lookups are indexed by secret state, so this cipher is not
+   constant-time against cache timing on the host. The simulated guest
+   cannot observe host caches (see DESIGN.md); a real VMM would use
+   AES-NI. *)
+
+let mask32 = 0xFFFFFFFF
+
+let xtime b = if b land 0x80 <> 0 then ((b lsl 1) lxor 0x11B) land 0xFF else b lsl 1
 
 let gf_mul a b =
   let rec loop a b acc =
     if b = 0 then acc
     else
       let acc = if b land 1 = 1 then acc lxor a else acc in
-      let a = if a land 0x80 <> 0 then ((a lsl 1) lxor 0x11B) land 0xFF else (a lsl 1) land 0xFF in
-      loop a (b lsr 1) acc
+      loop (xtime a) (b lsr 1) acc
   in
   loop a b 0
 
@@ -30,106 +49,108 @@ let sbox =
       let b = gf_inverse x in
       b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63)
 
-type key = int array array
-(* 11 round keys of 16 bytes each. *)
+let rotr8 w = ((w lsr 8) lor (w lsl 24)) land mask32
+
+let te0 =
+  Array.init 256 (fun x ->
+      let s = sbox.(x) in
+      let s2 = xtime s in
+      (s2 lsl 24) lor (s lsl 16) lor (s lsl 8) lor (s2 lxor s))
+
+let te1 = Array.map rotr8 te0
+let te2 = Array.map rotr8 te1
+let te3 = Array.map rotr8 te2
+
+(* Row r of the result is the S-box image of row r of the r-th argument:
+   SubBytes, with ShiftRows when the arguments are successive columns. *)
+let sbox_column a0 a1 a2 a3 =
+  (sbox.(a0 lsr 24) lsl 24)
+  lor (sbox.((a1 lsr 16) land 0xFF) lsl 16)
+  lor (sbox.((a2 lsr 8) land 0xFF) lsl 8)
+  lor sbox.(a3 land 0xFF)
+
+type key = int array
+(* The 44 words of the AES-128 schedule; round r uses words 4r..4r+3. *)
+
+let get_word b off = Int32.to_int (Bytes.get_int32_be b off) land mask32
+let set_word b off w = Bytes.set_int32_be b off (Int32.of_int w)
+let xor_word b off w = set_word b off (get_word b off lxor w)
 
 let expand raw =
   if Bytes.length raw <> 16 then invalid_arg "Aes.expand: key must be 16 bytes";
-  (* 44 words of the AES-128 schedule, then regrouped per round. *)
-  let words = Array.make 44 [| 0; 0; 0; 0 |] in
+  let w = Array.make 44 0 in
   for i = 0 to 3 do
-    words.(i) <-
-      Array.init 4 (fun j -> Char.code (Bytes.get raw ((4 * i) + j)))
+    w.(i) <- get_word raw (4 * i)
   done;
   let rcon = ref 1 in
   for i = 4 to 43 do
-    let prev = words.(i - 1) in
+    let prev = w.(i - 1) in
     let temp =
       if i mod 4 = 0 then begin
-        let rotated = [| prev.(1); prev.(2); prev.(3); prev.(0) |] in
-        let substituted = Array.map (fun b -> sbox.(b)) rotated in
-        substituted.(0) <- substituted.(0) lxor !rcon;
-        rcon := gf_mul !rcon 2;
-        substituted
+        (* RotWord, SubWord, then Rcon into the top byte. *)
+        let rot = ((prev lsl 8) lor (prev lsr 24)) land mask32 in
+        let t = sbox_column rot rot rot rot lxor (!rcon lsl 24) in
+        rcon := xtime !rcon;
+        t
       end
-      else Array.copy prev
+      else prev
     in
-    words.(i) <- Array.init 4 (fun j -> words.(i - 4).(j) lxor temp.(j))
+    w.(i) <- w.(i - 4) lxor temp
   done;
-  Array.init 11 (fun round ->
-      Array.init 16 (fun b -> words.((4 * round) + (b / 4)).(b mod 4)))
+  w
 
-let add_round_key state rk = Array.iteri (fun i v -> state.(i) <- v lxor rk.(i)) state
-
-let sub_bytes state = Array.iteri (fun i v -> state.(i) <- sbox.(v)) state
-
-(* State layout: byte [r + 4c] of the flat array is row r, column c, matching
-   the FIPS column-major convention for a 16-byte input block. *)
-let shift_rows state =
-  let original = Array.copy state in
-  for r = 1 to 3 do
-    for c = 0 to 3 do
-      state.(r + (4 * c)) <- original.(r + (4 * ((c + r) mod 4)))
-    done
-  done
-
-let mix_columns state =
-  for c = 0 to 3 do
-    let a0 = state.(4 * c) and a1 = state.((4 * c) + 1)
-    and a2 = state.((4 * c) + 2) and a3 = state.((4 * c) + 3) in
-    state.(4 * c) <- gf_mul a0 2 lxor gf_mul a1 3 lxor a2 lxor a3;
-    state.((4 * c) + 1) <- a0 lxor gf_mul a1 2 lxor gf_mul a2 3 lxor a3;
-    state.((4 * c) + 2) <- a0 lxor a1 lxor gf_mul a2 2 lxor gf_mul a3 3;
-    state.((4 * c) + 3) <- gf_mul a0 3 lxor a1 lxor a2 lxor gf_mul a3 2
-  done
-
-let encrypt_state key state =
-  add_round_key state key.(0);
+(* Encrypt the column words [x0..x3] under [rk] and XOR the 16-byte result
+   into [buf] at [off]. *)
+let encrypt_xor_into rk x0 x1 x2 x3 buf off =
+  let s0 = ref (x0 lxor rk.(0)) and s1 = ref (x1 lxor rk.(1))
+  and s2 = ref (x2 lxor rk.(2)) and s3 = ref (x3 lxor rk.(3)) in
   for round = 1 to 9 do
-    sub_bytes state;
-    shift_rows state;
-    mix_columns state;
-    add_round_key state key.(round)
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and k = 4 * round in
+    s0 :=
+      te0.(a0 lsr 24) lxor te1.((a1 lsr 16) land 0xFF) lxor te2.((a2 lsr 8) land 0xFF)
+      lxor te3.(a3 land 0xFF) lxor rk.(k);
+    s1 :=
+      te0.(a1 lsr 24) lxor te1.((a2 lsr 16) land 0xFF) lxor te2.((a3 lsr 8) land 0xFF)
+      lxor te3.(a0 land 0xFF) lxor rk.(k + 1);
+    s2 :=
+      te0.(a2 lsr 24) lxor te1.((a3 lsr 16) land 0xFF) lxor te2.((a0 lsr 8) land 0xFF)
+      lxor te3.(a1 land 0xFF) lxor rk.(k + 2);
+    s3 :=
+      te0.(a3 lsr 24) lxor te1.((a0 lsr 16) land 0xFF) lxor te2.((a1 lsr 8) land 0xFF)
+      lxor te3.(a2 land 0xFF) lxor rk.(k + 3)
   done;
-  sub_bytes state;
-  shift_rows state;
-  add_round_key state key.(10)
+  (* Final round: no MixColumns, so the S-box directly. *)
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+  xor_word buf off (sbox_column a0 a1 a2 a3 lxor rk.(40));
+  xor_word buf (off + 4) (sbox_column a1 a2 a3 a0 lxor rk.(41));
+  xor_word buf (off + 8) (sbox_column a2 a3 a0 a1 lxor rk.(42));
+  xor_word buf (off + 12) (sbox_column a3 a0 a1 a2 lxor rk.(43))
 
 let encrypt_block key input =
   if Bytes.length input <> 16 then invalid_arg "Aes.encrypt_block: block must be 16 bytes";
-  let state = Array.init 16 (fun i -> Char.code (Bytes.get input i)) in
-  encrypt_state key state;
-  let out = Bytes.create 16 in
-  Array.iteri (fun i v -> Bytes.set out i (Char.chr v)) state;
+  let out = Bytes.make 16 '\000' in
+  encrypt_xor_into key (get_word input 0) (get_word input 4) (get_word input 8)
+    (get_word input 12) out 0;
   out
 
 let ctr_transform key ~iv data =
   if Bytes.length iv <> 16 then invalid_arg "Aes.ctr_transform: iv must be 16 bytes";
   let len = Bytes.length data in
-  let out = Bytes.create len in
-  let counter_base =
-    (Char.code (Bytes.get iv 12) lsl 24)
-    lor (Char.code (Bytes.get iv 13) lsl 16)
-    lor (Char.code (Bytes.get iv 14) lsl 8)
-    lor Char.code (Bytes.get iv 15)
-  in
-  let block = Array.make 16 0 in
-  let blocks = (len + 15) / 16 in
-  for i = 0 to blocks - 1 do
-    for j = 0 to 11 do
-      block.(j) <- Char.code (Bytes.get iv j)
-    done;
-    let counter = (counter_base + i) land 0xFFFFFFFF in
-    block.(12) <- (counter lsr 24) land 0xFF;
-    block.(13) <- (counter lsr 16) land 0xFF;
-    block.(14) <- (counter lsr 8) land 0xFF;
-    block.(15) <- counter land 0xFF;
-    encrypt_state key block;
-    let offset = 16 * i in
-    let chunk = min 16 (len - offset) in
-    for j = 0 to chunk - 1 do
-      Bytes.set out (offset + j)
-        (Char.chr (Char.code (Bytes.get data (offset + j)) lxor block.(j)))
-    done
+  let out = Bytes.copy data in
+  let iv0 = get_word iv 0 and iv1 = get_word iv 4 and iv2 = get_word iv 8 in
+  let counter_base = get_word iv 12 in
+  let full = len / 16 in
+  for i = 0 to full - 1 do
+    encrypt_xor_into key iv0 iv1 iv2 ((counter_base + i) land mask32) out (16 * i)
   done;
+  let tail = len - (16 * full) in
+  if tail > 0 then begin
+    let ks = Bytes.make 16 '\000' in
+    encrypt_xor_into key iv0 iv1 iv2 ((counter_base + full) land mask32) ks 0;
+    let offset = 16 * full in
+    for j = 0 to tail - 1 do
+      Bytes.set out (offset + j)
+        (Char.chr (Char.code (Bytes.get out (offset + j)) lxor Char.code (Bytes.get ks j)))
+    done
+  end;
   out

@@ -35,6 +35,7 @@ let h0 = Array.map (fractional_bits sqrt) (first_primes 8)
 type t = {
   state : int array;          (* 8 words of 32 bits *)
   block : Bytes.t;            (* 64-byte input block being filled *)
+  schedule : int array;       (* 64-word message schedule, reused per block *)
   mutable block_len : int;    (* bytes currently in [block] *)
   mutable total_len : int;    (* total bytes absorbed *)
   mutable finalized : bool;
@@ -43,20 +44,16 @@ type t = {
 let init () =
   { state = Array.copy h0;
     block = Bytes.create 64;
+    schedule = Array.make 64 0;
     block_len = 0;
     total_len = 0;
     finalized = false }
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
-let compress state block off =
-  let w = Array.make 64 0 in
+let compress { state; block; schedule = w; _ } =
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (off + (4 * i))) lsl 24)
-      lor (Char.code (Bytes.get block (off + (4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + (4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + (4 * i) + 3))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be block (4 * i)) land mask32
   done;
   for i = 16 to 63 do
     let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
@@ -100,7 +97,7 @@ let feed t buf ~pos ~len =
     src := !src + chunk;
     remaining := !remaining - chunk;
     if t.block_len = 64 then begin
-      compress t.state t.block 0;
+      compress t;
       t.block_len <- 0
     end
   done

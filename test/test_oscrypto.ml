@@ -65,11 +65,46 @@ let test_aes_sp800_38a_ecb () =
     "3ad77bb40d7a3660a89ecaf32466ef97"
     (Sha256.hex (Aes.encrypt_block key (hex_to_bytes "6bc1bee22e409f96e93d7e117393172a")))
 
+let sp800_38a_key = "2b7e151628aed2a6abf7158809cf4f3c"
+let sp800_38a_iv = "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"
+
 let test_aes_ctr_sp800_38a () =
-  let key = Aes.expand (hex_to_bytes "2b7e151628aed2a6abf7158809cf4f3c") in
-  let iv = hex_to_bytes "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff" in
-  let ct = Aes.ctr_transform key ~iv (hex_to_bytes "6bc1bee22e409f96e93d7e117393172a") in
-  check_hex "sp800-38a ctr block 1" "874d6191b620e3261bef6864990db6ce" (Sha256.hex ct)
+  (* F.5.1 CTR-AES128.Encrypt, all four blocks: the counter's low bytes
+     carry from 0xff to 0x00 between blocks 1 and 2. *)
+  let key = Aes.expand (hex_to_bytes sp800_38a_key) in
+  let iv = hex_to_bytes sp800_38a_iv in
+  let plain =
+    "6bc1bee22e409f96e93d7e117393172a" ^ "ae2d8a571e03ac9c9eb76fac45af8e51"
+    ^ "30c81c46a35ce411e5fbc1191a0a52ef" ^ "f69f2445df4f9b17ad2b417be66c3710"
+  in
+  let cipher =
+    "874d6191b620e3261bef6864990db6ce" ^ "9806f66b7970fdff8617187bb9fffdff"
+    ^ "5ae4df3edbd5d35e5b4f09020db03eab" ^ "1e031dda2fbe03d1792170a0f3009cee"
+  in
+  check_hex "sp800-38a ctr blocks 1-4" cipher
+    (Sha256.hex (Aes.ctr_transform key ~iv (hex_to_bytes plain)));
+  check_hex "sp800-38a ctr decrypt" plain
+    (Sha256.hex (Aes.ctr_transform key ~iv (hex_to_bytes cipher)))
+
+let test_aes_ctr_empty () =
+  let key = Aes.expand (hex_to_bytes sp800_38a_key) in
+  let out = Aes.ctr_transform key ~iv:(hex_to_bytes sp800_38a_iv) Bytes.empty in
+  Alcotest.(check int) "empty in, empty out" 0 (Bytes.length out)
+
+let test_aes_ctr_allocation () =
+  (* One 4 KiB page may allocate its output and a small constant, never
+     anything per block or per round (256 blocks, 2560 rounds). *)
+  let key = Aes.expand (hex_to_bytes sp800_38a_key) in
+  let iv = hex_to_bytes sp800_38a_iv in
+  let page = Bytes.init 4096 (fun i -> Char.chr (i land 0xFF)) in
+  ignore (Aes.ctr_transform key ~iv page);
+  let before = Gc.allocated_bytes () in
+  let out = Aes.ctr_transform key ~iv page in
+  let after = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity out);
+  let extra = after -. before -. 4096. in
+  if extra > 1024. then
+    Alcotest.failf "ctr_transform of 4096 bytes allocated %.0f bytes beyond its output" extra
 
 let test_aes_bad_lengths () =
   Alcotest.check_raises "short key" (Invalid_argument "Aes.expand: key must be 16 bytes")
@@ -122,7 +157,15 @@ let test_prng_bytes_len () =
     (fun n -> Alcotest.(check int) "length" n (Bytes.length (Prng.bytes p n)))
     [ 0; 1; 7; 8; 9; 16; 4096 ]
 
-(* --- Properties --- *)
+(* --- Properties ---
+
+   Every property draws from its own generator state seeded with [seed],
+   which is printed at start-up, so any failure replays exactly. *)
+
+let seed = 0x05ad0c12
+
+let to_alcotest test =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test
 
 let bytes_gen = QCheck.Gen.(map Bytes.of_string (string_size (int_range 0 512)))
 let bytes_arb = QCheck.make ~print:(fun b -> Sha256.hex b) bytes_gen
@@ -168,7 +211,51 @@ let prop_distinct_iv_distinct_ct =
       Bytes.equal iv1 iv2
       || not (Bytes.equal (Aes.ctr_transform key ~iv:iv1 data) (Aes.ctr_transform key ~iv:iv2 data)))
 
+(* The table-driven cipher must agree byte for byte with the bit-serial
+   reference in [Aes_ref] on random keys, lengths (partial tail blocks
+   included) and IVs; half the IVs start the big-endian counter word within
+   16 of 2^32 so the wrap to 0 falls inside the buffer. *)
+let fixed_bytes n = QCheck.Gen.(map Bytes.of_string (string_size (return n)))
+
+let ctr_case_gen =
+  let open QCheck.Gen in
+  let counter =
+    frequency [ (1, int_range 0xFFFFFFF0 0xFFFFFFFF); (1, map (fun x -> x land 0xFFFFFFFF) int) ]
+  in
+  quad (fixed_bytes 16) (fixed_bytes 12) counter
+    (map Bytes.of_string (string_size (int_range 0 4200)))
+
+let make_iv prefix counter =
+  let iv = Bytes.create 16 in
+  Bytes.blit prefix 0 iv 0 12;
+  Bytes.set_int32_be iv 12 (Int32.of_int counter);
+  iv
+
+let prop_ctr_matches_reference =
+  QCheck.Test.make ~name:"ctr_transform = bit-serial reference" ~count:200
+    (QCheck.make
+       ~print:(fun (key, prefix, counter, data) ->
+         Printf.sprintf "key=%s iv=%s len=%d" (Sha256.hex key)
+           (Sha256.hex (make_iv prefix counter)) (Bytes.length data))
+       ctr_case_gen)
+    (fun (key, prefix, counter, data) ->
+      let iv = make_iv prefix counter in
+      Bytes.equal
+        (Aes.ctr_transform (Aes.expand key) ~iv data)
+        (Aes_ref.ctr_transform (Aes_ref.expand key) ~iv data))
+
+let prop_block_matches_reference =
+  QCheck.Test.make ~name:"encrypt_block = bit-serial reference" ~count:500
+    (QCheck.make
+       ~print:(fun (key, block) -> Printf.sprintf "key=%s block=%s" (Sha256.hex key) (Sha256.hex block))
+       QCheck.Gen.(pair (fixed_bytes 16) (fixed_bytes 16)))
+    (fun (key, block) ->
+      Bytes.equal
+        (Aes.encrypt_block (Aes.expand key) block)
+        (Aes_ref.encrypt_block (Aes_ref.expand key) block))
+
 let () =
+  Printf.printf "oscrypto qcheck seed: %d\n%!" seed;
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "oscrypto"
     [
@@ -185,6 +272,8 @@ let () =
           quick "fips-197" test_aes_fips197;
           quick "sp800-38a ecb" test_aes_sp800_38a_ecb;
           quick "sp800-38a ctr" test_aes_ctr_sp800_38a;
+          quick "ctr empty input" test_aes_ctr_empty;
+          quick "ctr allocation per page" test_aes_ctr_allocation;
           quick "length validation" test_aes_bad_lengths;
         ] );
       ( "hmac",
@@ -199,11 +288,13 @@ let () =
           quick "bytes length" test_prng_bytes_len;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map to_alcotest
           [
             prop_ctr_involution;
             prop_ctr_changes_data;
             prop_sha_incremental;
             prop_distinct_iv_distinct_ct;
+            prop_ctr_matches_reference;
+            prop_block_matches_reference;
           ] );
     ]
