@@ -19,37 +19,24 @@ test: build
 chaos-smoke: build
 	$(DUNE) exec bin/overshadow_cli.exe -- chaos --seeds 10
 
-# Power-cut the VMM at every journal/device write site across 20 seeds
-# and check the recovery invariants; emits the crash-point coverage,
-# replay-time and journal-overhead numbers as BENCH_recovery.json.
-recovery: build
-	$(DUNE) exec bin/overshadow_cli.exe -- crash-matrix --seeds 20 --bench-out BENCH_recovery.json
-
-# Availability soak: a restart-aware cloaked service under sustained
-# lethal fault plans, supervised (sealed checkpoints + restart-with-
-# backoff) vs unsupervised; checks privacy across restarts, stale-
-# checkpoint rejection and audit determinism, and emits the availability
-# and MTTR numbers as BENCH_availability.json.
-soak: build
-	$(DUNE) exec bin/overshadow_cli.exe -- soak --seeds 20 --bench-out BENCH_availability.json
-
-# Live migration over a hostile, lossy channel: per seed a clean, a
-# hostile and a blackhole (all-loss) migration of a cloaked process
-# between two VMMs, plus a crash matrix on the channel sites; checks
-# single-incarnation, wire privacy, replay/tamper rejection and bounded
-# downtime, and emits the downtime percentiles as BENCH_migration.json.
-migrate: build
-	$(DUNE) exec bin/overshadow_cli.exe -- migrate --seeds 20 --bench-out BENCH_migration.json
-
-# Fleet supervisor under hostile open-loop load: a multi-VMM fleet of
-# cloaked services behind a load balancer, with heartbeat-based failure
-# detection, migration-based failover and typed load shedding; per seed a
-# fault-free SLO run, the hostile plan twice (determinism) and a
-# blackhole run; checks the latency budget, exactly-once failover and the
-# supervised-beats-unsupervised goodput gap, and emits availability, shed
-# and tail-latency numbers as BENCH_fleet.json.
-fleet: build
-	$(DUNE) exec bin/overshadow_cli.exe -- fleet --seeds 20 --bench-out BENCH_fleet.json
+# The seeded sweeps that write a committed BENCH file, one rule each:
+# target, CLI subcommand, BENCH_<name>.json. Every sweep runs its seeds'
+# cells through the one scenario runner (escaped exception, canary leak,
+# trace verdict, replay determinism) and exits non-zero on any failure.
+#   recovery   power cuts at every journal/device write site + replay
+#   soak       supervised restart vs unsupervised under lethal plans
+#   migrate    live migration over a hostile channel + its crash matrix
+#   fleet      failover and load shedding under hostile open-loop load
+#   adversary  every workload under the malicious-kernel personality
+define sweep
+$(1): build
+	$$(DUNE) exec bin/overshadow_cli.exe -- $(2) --seeds 20 --bench-out BENCH_$(3).json
+endef
+$(eval $(call sweep,recovery,crash-matrix,recovery))
+$(eval $(call sweep,soak,soak,availability))
+$(eval $(call sweep,migrate,migrate,migration))
+$(eval $(call sweep,fleet,fleet,fleet))
+$(eval $(call sweep,adversary,adversary,adversary))
 
 # Fleet telemetry proof: the same hostile fleet scenario with the
 # per-host registries disabled and enabled must charge identical model
@@ -59,16 +46,6 @@ fleet: build
 # fault-free replay stays silent; emits BENCH_telemetry.json.
 telemetry: build
 	$(DUNE) exec bin/overshadow_cli.exe -- telemetry --bench-out BENCH_telemetry.json
-
-# Adversarial-OS sweep: every workload under the malicious-kernel
-# personality — lying syscall returns (Iago), address-space remap/replay,
-# identity confusion and scheduling attacks — one class per cell, each
-# cell run twice against a fault-free baseline; asserts zero plaintext
-# leaks, zero silent corruptions (fault-free digest or a typed refusal)
-# and a deterministic audit, and emits the attack/refusal tallies as
-# BENCH_adversary.json.
-adversary: build
-	$(DUNE) exec bin/overshadow_cli.exe -- adversary --seeds 20 --bench-out BENCH_adversary.json
 
 # Flight-recorder overhead proof: run cloaked workloads under the null
 # sink and under a live ring and assert both add zero model cycles over

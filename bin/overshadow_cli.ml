@@ -76,49 +76,6 @@ let run_counters cloaked =
   Format.printf "%a@." Machine.Counters.pp result.Harness.counters;
   if Harness.all_exited_zero result then 0 else 1
 
-let run_chaos seeds base verbose bench_out =
-  let reports = ref [] in
-  let progress r =
-    reports := r :: !reports;
-    if verbose then Format.printf "%a@." Harness.Chaos.pp_report r
-    else
-      Printf.printf "seed %-10d %3d injections, %2d contained, %s\n"
-        r.Harness.Chaos.seed r.Harness.Chaos.injections r.Harness.Chaos.contained
-        (match (r.Harness.Chaos.crash, r.Harness.Chaos.leaks) with
-        | Some m, _ -> "CRASH " ^ m
-        | None, [] -> "clean"
-        | None, l -> "LEAK " ^ String.concat ", " l)
-  in
-  let t0 = Sys.time () in
-  let v =
-    Harness.Chaos.run_seeds ~progress
-      ~seeds:(Harness.Chaos.seeds_from ~base ~count:seeds)
-      ()
-  in
-  let wall_s = Sys.time () -. t0 in
-  Printf.printf
-    "\n%d seeds (each run twice): %d injections, %d contained faults, %d security kills\n"
-    v.Harness.Chaos.runs v.Harness.Chaos.total_injections v.Harness.Chaos.total_contained
-    v.Harness.Chaos.security_kills;
-  (match bench_out with
-  | None -> ()
-  | Some path ->
-      Report.write ~path
-        (Report.bench ~name:"chaos"
-           [ ("seeds", Report.Int v.Harness.Chaos.runs);
-             ("injections", Report.Int v.Harness.Chaos.total_injections);
-             ("contained", Report.Int v.Harness.Chaos.total_contained);
-             ("security_kills", Report.Int v.Harness.Chaos.security_kills);
-             ("wall_s", Report.Float wall_s);
-             ("failures", Report.Int (List.length v.Harness.Chaos.failures)) ]);
-      Printf.printf "  wrote %s\n" path);
-  (match v.Harness.Chaos.failures with
-  | [] ->
-      Printf.printf "all invariants held: no escapes, no leaks, deterministic replay\n"
-  | fails ->
-      List.iter (fun (seed, what) -> Printf.printf "FAILED seed %d: %s\n" seed what) fails);
-  Harness.Chaos.exit_code v
-
 let run_recover seed site at =
   match Inject.site_of_string site with
   | None ->
@@ -129,264 +86,39 @@ let run_recover seed site at =
       let point = { Harness.Crash.site; occurrence = at } in
       let o = Harness.Crash.run_point ~seed point in
       Format.printf "%a@." Harness.Crash.pp_outcome o;
-      List.iter (fun line -> Printf.printf "    %s\n" line) o.Harness.Crash.audit;
-      if o.Harness.Crash.failures = [] then 0 else 1
+      let hdr = o.Harness.Crash.hdr in
+      List.iter (fun line -> Printf.printf "    %s\n" line) hdr.audit;
+      if o.Harness.Crash.failures = [] && hdr.trace_failures = [] then 0 else 1
 
-let run_crash_matrix seeds base per_site verbose bench_out =
-  let progress o =
-    if verbose then Format.printf "%a@." Harness.Crash.pp_outcome o
-  in
-  let t0 = Sys.time () in
-  let v =
-    Harness.Crash.run_matrix ~progress ~per_site
-      ~seeds:(Harness.Crash.seeds_from ~base ~count:seeds)
-      ()
-  in
-  let wall_s = Sys.time () -. t0 in
-  Printf.printf
-    "\n%d seeds, %d crash points (each run twice): %d power cuts fired\n"
-    v.Harness.Crash.seeds v.Harness.Crash.points v.Harness.Crash.crashes;
-  Printf.printf "  per site: %s\n"
-    (String.concat ", "
-       (List.map
-          (fun (s, n) -> Printf.sprintf "%s=%d" (Inject.site_to_string s) n)
-          v.Harness.Crash.site_points));
-  Printf.printf
-    "  recovery: %d ledger-committed bindings -> %d committed, %d redone, %d torn, %d quarantined\n"
-    v.Harness.Crash.ledger_committed_total v.Harness.Crash.committed_total
-    v.Harness.Crash.redone_total v.Harness.Crash.torn_total
-    v.Harness.Crash.quarantined_total;
-  Printf.printf
-    "  journal (clean run avg): %d records, %d store writes, %d checkpoints over %d data writes\n"
-    v.Harness.Crash.records_per_run v.Harness.Crash.store_writes_per_run
-    v.Harness.Crash.checkpoints_per_run v.Harness.Crash.data_writes_per_run;
-  (match bench_out with
-  | None -> ()
-  | Some path ->
-      let overhead =
-        if v.Harness.Crash.data_writes_per_run = 0 then 0.0
-        else
-          float_of_int v.Harness.Crash.store_writes_per_run
-          /. float_of_int v.Harness.Crash.data_writes_per_run
-      in
-      Report.write ~path
-        (Report.bench ~name:"recovery"
-           [ ("seeds", Report.Int v.Harness.Crash.seeds);
-             ("crash_points", Report.Int v.Harness.Crash.points);
-             ("crashes_fired", Report.Int v.Harness.Crash.crashes);
-             ( "sites",
-               Report.Obj
-                 (List.map
-                    (fun (s, n) -> (Inject.site_to_string s, Report.Int n))
-                    v.Harness.Crash.site_points) );
-             ("ledger_committed", Report.Int v.Harness.Crash.ledger_committed_total);
-             ("recovered_committed", Report.Int v.Harness.Crash.committed_total);
-             ("recovered_redone", Report.Int v.Harness.Crash.redone_total);
-             ("torn_quarantined", Report.Int v.Harness.Crash.torn_total);
-             ("replay_total_s", Report.Float v.Harness.Crash.replay_s_total);
-             ( "replay_mean_ms",
-               Report.Float
-                 (if v.Harness.Crash.points = 0 then 0.0
-                  else
-                    1000.0 *. v.Harness.Crash.replay_s_total
-                    /. float_of_int (2 * v.Harness.Crash.points)) );
-             ("journal_records_per_run", Report.Int v.Harness.Crash.records_per_run);
-             ( "journal_store_writes_per_run",
-               Report.Int v.Harness.Crash.store_writes_per_run );
-             ( "journal_checkpoints_per_run",
-               Report.Int v.Harness.Crash.checkpoints_per_run );
-             ("data_writes_per_run", Report.Int v.Harness.Crash.data_writes_per_run);
-             ("journal_writes_per_data_write", Report.Float overhead);
-             ("wall_s", Report.Float wall_s);
-             ("failures", Report.Int (List.length v.Harness.Crash.failures)) ]);
-      Printf.printf "  wrote %s\n" path);
-  match v.Harness.Crash.failures with
+(* --- the seeded sweeps: one command per scenario --- *)
+
+let write_bench path doc =
+  Option.iter
+    (fun path ->
+      Report.write ~path doc;
+      Printf.printf "  wrote %s\n" path)
+    path
+
+(* The one FAILED printer and exit policy every sweep shares. *)
+let verdict ~ok = function
   | [] ->
-      Printf.printf
-        "all invariants held: no committed-data loss, no torn-state acceptance, deterministic replay\n";
+      print_endline ok;
       0
-  | fails ->
-      List.iter (fun (seed, what) -> Printf.printf "FAILED seed %d: %s\n" seed what) fails;
+  | failures ->
+      List.iter (fun f -> Printf.printf "FAILED %s\n" f) failures;
       1
 
-let run_soak seeds base verbose bench_out =
-  let progress (r : Harness.Soak.seed_report) =
-    if verbose || r.Harness.Soak.failures <> [] then
-      Format.printf "%a@." Harness.Soak.pp_seed_report r
+let run_sweep (Harness.Scenario.Any sc) seeds base verbose bench_out =
+  let module S = Harness.Scenario in
+  let progress (s : _ S.seed) =
+    if verbose || s.failures <> [] then Format.printf "%a@?" sc.pp s.report
   in
   let t0 = Sys.time () in
-  let v =
-    Harness.Soak.run_seeds ~progress
-      ~seeds:(Harness.Chaos.seeds_from ~base ~count:seeds)
-      ()
-  in
+  let v = S.run ~progress sc ~seeds:(S.seeds_from ~base ~count:seeds) in
   let wall_s = Sys.time () -. t0 in
-  Printf.printf "%s\n" (Harness.Soak.summary_line v);
-  Printf.printf
-    "  useful work: %d units supervised vs %d unsupervised, %d checkpoints sealed\n"
-    v.Harness.Soak.total_units_sup v.Harness.Soak.total_units_unsup
-    v.Harness.Soak.total_checkpoints;
-  (match bench_out with
-  | None -> ()
-  | Some path ->
-      Report.write ~path
-        (Report.bench ~name:"availability"
-           [ ("seeds", Report.Int v.Harness.Soak.seeds_run);
-             ("rounds_per_run", Report.Int Harness.Soak.rounds);
-             ("availability_supervised", Report.Float v.Harness.Soak.availability_sup);
-             ( "availability_unsupervised",
-               Report.Float v.Harness.Soak.availability_unsup );
-             ("mttr_cycles", Report.Float v.Harness.Soak.mttr_cycles);
-             ("restarts", Report.Int v.Harness.Soak.total_restarts);
-             ("circuit_breaks", Report.Int v.Harness.Soak.total_circuit_breaks);
-             ("checkpoints", Report.Int v.Harness.Soak.total_checkpoints);
-             ("units_supervised", Report.Int v.Harness.Soak.total_units_sup);
-             ("units_unsupervised", Report.Int v.Harness.Soak.total_units_unsup);
-             ("wall_s", Report.Float wall_s);
-             ("failures", Report.Int (List.length v.Harness.Soak.failures)) ]);
-      Printf.printf "  wrote %s\n" path);
-  (match v.Harness.Soak.failures with
-  | [] when v.Harness.Soak.total_units_sup > v.Harness.Soak.total_units_unsup ->
-      Printf.printf
-        "all invariants held: privacy across restarts, no stale-checkpoint acceptance, deterministic audit\n"
-  | [] ->
-      Printf.printf
-        "FAILED: supervision did not beat its absence (%d units vs %d)\n"
-        v.Harness.Soak.total_units_sup v.Harness.Soak.total_units_unsup
-  | fails ->
-      List.iter (fun (seed, what) -> Printf.printf "FAILED seed %d: %s\n" seed what) fails);
-  Harness.Soak.exit_code v
-
-let run_migrate seeds base crash_seeds verbose bench_out =
-  let progress (r : Harness.Migrate.seed_report) =
-    if verbose || r.Harness.Migrate.failures <> [] then
-      Format.printf "%a@." Harness.Migrate.pp_seed_report r
-  in
-  let t0 = Sys.time () in
-  let v =
-    Harness.Migrate.run_seeds ~progress
-      ~seeds:(Harness.Chaos.seeds_from ~base ~count:seeds)
-      ()
-  in
-  let c =
-    Harness.Migrate.run_crash_matrix
-      ~seeds:(Harness.Chaos.seeds_from ~base ~count:crash_seeds)
-      ()
-  in
-  let wall_s = Sys.time () -. t0 in
-  Printf.printf "%s\n" (Harness.Migrate.summary_line v);
-  Printf.printf
-    "  crash matrix: %d points over the channel sites, %d post-fence, %d failures\n"
-    c.Harness.Migrate.crash_points c.Harness.Migrate.crash_fenced
-    (List.length c.Harness.Migrate.matrix_failures);
-  (match bench_out with
-  | None -> ()
-  | Some path ->
-      Report.write ~path
-        (Report.bench ~name:"migration"
-           [ ("seeds", Report.Int v.Harness.Migrate.seeds_run);
-             ("rounds_per_run", Report.Int Harness.Migrate.rounds);
-             ("clean_committed", Report.Int v.Harness.Migrate.clean_committed);
-             ("hostile_committed", Report.Int v.Harness.Migrate.hostile_committed);
-             ("hostile_aborted", Report.Int v.Harness.Migrate.hostile_aborted);
-             ("attempts", Report.Int v.Harness.Migrate.total_attempts);
-             ("retries", Report.Int v.Harness.Migrate.total_retries);
-             ("chunk_mac_failures", Report.Int v.Harness.Migrate.total_mac_failures);
-             ("breaker_trips", Report.Int v.Harness.Migrate.total_breaker_trips);
-             ("downtime_p50_cycles", Report.Int v.Harness.Migrate.p50_downtime);
-             ("downtime_p95_cycles", Report.Int v.Harness.Migrate.p95_downtime);
-             ("wire_frames", Report.Int v.Harness.Migrate.total_wire_frames);
-             ("crash_points", Report.Int c.Harness.Migrate.crash_points);
-             ("crash_fenced", Report.Int c.Harness.Migrate.crash_fenced);
-             ("wall_s", Report.Float wall_s);
-             ( "failures",
-               Report.Int
-                 (List.length v.Harness.Migrate.failures
-                 + List.length c.Harness.Migrate.matrix_failures) ) ]);
-      Printf.printf "  wrote %s\n" path);
-  (match (v.Harness.Migrate.failures, c.Harness.Migrate.matrix_failures) with
-  | [], [] ->
-      Printf.printf
-        "all invariants held: one incarnation, no wire plaintext, no replayed or \
-         tampered blob accepted, bounded downtime, deterministic audit\n"
-  | fails, cfails ->
-      List.iter (fun (seed, what) -> Printf.printf "FAILED seed %d: %s\n" seed what) fails;
-      List.iter (fun (point, what) -> Printf.printf "FAILED %s: %s\n" point what) cfails);
-  Harness.Migrate.exit_code v c
-
-let timeline_json tl =
-  Report.List
-    (List.map
-       (fun (w, adm, good, p99) ->
-         Report.Obj
-           [ ("window", Report.Int w);
-             ("admitted", Report.Int adm);
-             ("good", Report.Int good);
-             ("p99_cycles", Report.Int p99) ])
-       tl)
-
-let run_fleet seeds base verbose bench_out =
-  let progress (r : Harness.Fleet.seed_report) =
-    if verbose || r.Harness.Fleet.failures <> [] then
-      Format.printf "%a@." Harness.Fleet.pp_seed_report r
-  in
-  let t0 = Sys.time () in
-  let v =
-    Harness.Fleet.run_seeds ~progress
-      ~seeds:(Harness.Fleet.seeds_from ~base ~count:seeds)
-      ()
-  in
-  let wall_s = Sys.time () -. t0 in
-  Printf.printf "%s\n" (Harness.Fleet.summary_line v);
-  Printf.printf
-    "  degradation: %d sheds (all typed), latency p95 %d / p99 %d cycles (worst seed)\n"
-    v.Harness.Fleet.total_sheds v.Harness.Fleet.p95_latency v.Harness.Fleet.p99_latency;
-  (match bench_out with
-  | None -> ()
-  | Some path ->
-      Report.write ~path
-        (Report.bench ~name:"fleet"
-           [ ("seeds", Report.Int v.Harness.Fleet.seeds_run);
-             ("hosts", Report.Int Harness.Fleet.n_hosts);
-             ("ff_budget_pct_worst", Report.Float v.Harness.Fleet.ff_budget_pct);
-             ("deaths", Report.Int v.Harness.Fleet.total_deaths);
-             ("drains", Report.Int v.Harness.Fleet.total_drains);
-             ("failovers", Report.Int v.Harness.Fleet.total_failovers);
-             ("lost_processes", Report.Int v.Harness.Fleet.total_lost);
-             ("hb_timeouts", Report.Int v.Harness.Fleet.total_hb_timeouts);
-             ("sheds", Report.Int v.Harness.Fleet.total_sheds);
-             ("double_resumes", Report.Int v.Harness.Fleet.total_double_resumes);
-             ("goodput_supervised", Report.Int v.Harness.Fleet.sup_goodput);
-             ("goodput_unsupervised", Report.Int v.Harness.Fleet.unsup_goodput);
-             ("latency_p95_cycles", Report.Int v.Harness.Fleet.p95_latency);
-             ("latency_p99_cycles", Report.Int v.Harness.Fleet.p99_latency);
-             ("failover_downtime_p50_cycles", Report.Int v.Harness.Fleet.p50_downtime);
-             ("failover_downtime_p95_cycles", Report.Int v.Harness.Fleet.p95_downtime);
-             ("telemetry_samples", Report.Int v.Harness.Fleet.total_tel_samples);
-             ("telemetry_spans", Report.Int v.Harness.Fleet.total_tel_spans);
-             ("stitched_traces", Report.Int v.Harness.Fleet.total_stitched);
-             ("burn_alerts_fast", Report.Int v.Harness.Fleet.total_burn_fast);
-             ("burn_alerts_slow", Report.Int v.Harness.Fleet.total_burn_slow);
-             ( "timelines",
-               Report.List
-                 (List.map
-                    (fun (r : Harness.Fleet.seed_report) ->
-                      Report.Obj
-                        [ ("seed", Report.Int r.Harness.Fleet.seed);
-                          ("supervised", timeline_json r.Harness.Fleet.sup_timeline);
-                          ("unsupervised", timeline_json r.Harness.Fleet.unsup_timeline) ])
-                    v.Harness.Fleet.reports) );
-             ("wall_s", Report.Float wall_s);
-             ("failures", Report.Int (List.length v.Harness.Fleet.failures)) ]);
-      Printf.printf "  wrote %s\n" path);
-  (match v.Harness.Fleet.failures with
-  | [] ->
-      Printf.printf
-        "all invariants held: SLO fault-free, supervised goodput beats unsupervised, \
-         exactly-once failover, typed sheds, no leaks, deterministic audit\n"
-  | fails ->
-      List.iter (fun (seed, what) -> Printf.printf "FAILED seed %d: %s\n" seed what) fails);
-  Harness.Fleet.exit_code v
+  Format.printf "%s:@.%a@?" sc.name S.pp_metrics v.metrics;
+  write_bench bench_out (S.bench_doc ~name:sc.bench ~wall_s ~failures:v.failures v.metrics);
+  verdict ~ok:sc.ok v.failures
 
 (* --- flight recorder --- *)
 
@@ -620,12 +352,21 @@ let run_list () =
 
 let cloaked_flag = Arg.(value & flag & info [ "cloaked" ] ~doc:"Run the program cloaked.")
 
+let scale_arg =
+  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Problem size multiplier.")
+
+let workload_arg =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"WORKLOAD" ~doc:"Workload: $(b,fileio) or a compute kernel name.")
+
+let file_arg name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+let bench_out_arg = file_arg "bench-out" "Write a JSON benchmark summary to $(docv)."
+
 let kernel_cmd =
   let kernel_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name.")
-  in
-  let scale_arg =
-    Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Problem size multiplier.")
   in
   Cmd.v
     (Cmd.info "kernel" ~doc:"Run one SPEC-style compute kernel and report model cycles.")
@@ -644,29 +385,6 @@ let counters_cmd =
   Cmd.v
     (Cmd.info "counters" ~doc:"Run the fileio workload and dump all VMM event counters.")
     Term.(const run_counters $ cloaked_flag)
-
-let chaos_cmd =
-  let seeds_arg =
-    Arg.(value & opt int 10 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeded fault plans.")
-  in
-  let base_arg =
-    Arg.(value & opt int 1 & info [ "base" ] ~docv:"SEED" ~doc:"First seed of the sweep.")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Print each run's fault plan and audit log.")
-  in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE" ~doc:"Write a JSON benchmark summary to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run the workload under seeded random fault plans and check the hostile-world \
-          invariants (containment, privacy, deterministic replay).")
-    Term.(const run_chaos $ seeds_arg $ base_arg $ verbose_arg $ bench_out_arg)
 
 let recover_cmd =
   let seed_arg =
@@ -689,40 +407,13 @@ let recover_cmd =
           same-seed VMM, and print the classification and audit trail.")
     Term.(const run_recover $ seed_arg $ site_arg $ at_arg)
 
-let crash_matrix_cmd =
+(* Every seeded sweep shares one flag set and one runner. *)
+let sweep_cmd (Harness.Scenario.Any sc as any) =
   let seeds_arg =
-    Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc:"Number of workload seeds.")
-  in
-  let base_arg =
-    Arg.(value & opt int 1 & info [ "base" ] ~docv:"SEED" ~doc:"First seed of the sweep.")
-  in
-  let per_site_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "per-site" ] ~docv:"N" ~doc:"Crash occurrences sampled per site per seed.")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Print every crash point's outcome.")
-  in
-  let bench_out_arg =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE" ~doc:"Write a JSON benchmark summary to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "crash-matrix"
-       ~doc:
-         "Power-cut the VMM at every journal/device write site across N seeds and \
-          check the recovery invariants (no committed-data loss, no torn-state \
-          acceptance, deterministic replay).")
-    Term.(
-      const run_crash_matrix $ seeds_arg $ base_arg $ per_site_arg $ verbose_arg
-      $ bench_out_arg)
-
-let soak_cmd =
-  let seeds_arg =
-    Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc:"Number of workload seeds.")
+      & opt int sc.default_seeds
+      & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds in the sweep.")
   in
   let base_arg =
     Arg.(value & opt int 1 & info [ "base" ] ~docv:"SEED" ~doc:"First seed of the sweep.")
@@ -730,79 +421,9 @@ let soak_cmd =
   let verbose_arg =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Print every seed's report, not just failures.")
   in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE" ~doc:"Write a JSON benchmark summary to $(docv).")
-  in
   Cmd.v
-    (Cmd.info "soak"
-       ~doc:
-         "Run the availability soak: a restart-aware cloaked service under sustained \
-          lethal fault plans, supervised (sealed checkpoints + restart-with-backoff) \
-          vs unsupervised, checking privacy across restarts, stale-checkpoint \
-          rejection and audit determinism.")
-    Term.(const run_soak $ seeds_arg $ base_arg $ verbose_arg $ bench_out_arg)
-
-let migrate_cmd =
-  let seeds_arg =
-    Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc:"Number of workload seeds.")
-  in
-  let base_arg =
-    Arg.(value & opt int 1 & info [ "base" ] ~docv:"SEED" ~doc:"First seed of the sweep.")
-  in
-  let crash_seeds_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "crash-seeds" ] ~docv:"N"
-          ~doc:"Seeds fed to the channel-site crash matrix.")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Print every seed's report, not just failures.")
-  in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE" ~doc:"Write a JSON benchmark summary to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "migrate"
-       ~doc:
-         "Live-migrate a cloaked process between two VMMs over a hostile, lossy \
-          channel: clean, hostile and blackhole runs per seed plus a crash matrix \
-          on the channel sites, checking single-incarnation, wire privacy, \
-          replay/tamper rejection and bounded downtime.")
-    Term.(
-      const run_migrate $ seeds_arg $ base_arg $ crash_seeds_arg $ verbose_arg
-      $ bench_out_arg)
-
-let fleet_cmd =
-  let seeds_arg =
-    Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc:"Number of workload seeds.")
-  in
-  let base_arg =
-    Arg.(value & opt int 1 & info [ "base" ] ~docv:"SEED" ~doc:"First seed of the sweep.")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Print every seed's report, not just failures.")
-  in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE" ~doc:"Write a JSON benchmark summary to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Run the fleet supervisor under hostile open-loop load: a multi-VMM fleet \
-          of cloaked services behind a load balancer with heartbeat-based failure \
-          detection, migration-based failover and typed load shedding, checking the \
-          fault-free latency SLO, exactly-once failover, graceful degradation and \
-          audit determinism.")
-    Term.(const run_fleet $ seeds_arg $ base_arg $ verbose_arg $ bench_out_arg)
+    (Cmd.info sc.name ~doc:sc.doc)
+    Term.(const (run_sweep any) $ seeds_arg $ base_arg $ verbose_arg $ bench_out_arg)
 
 let run_telemetry seed chrome_out bench_out =
   let t0 = Sys.time () in
@@ -817,36 +438,13 @@ let run_telemetry seed chrome_out bench_out =
       close_out oc;
       Printf.printf "  wrote %s (one pid row per VMM host; load in chrome://tracing)\n"
         path);
-  (match bench_out with
-  | None -> ()
-  | Some path ->
-      Report.write ~path
-        (Report.bench ~name:"telemetry"
-           [ ("seed", Report.Int r.Harness.Observe.o_seed);
-             ("cycles_registry_off", Report.Int r.Harness.Observe.o_cycles_off);
-             ("cycles_registry_on", Report.Int r.Harness.Observe.o_cycles_on);
-             ("delta_cycles", Report.Int (Harness.Observe.delta r));
-             ( "zero_model_cycle_overhead",
-               Report.Bool (Harness.Observe.zero_overhead r) );
-             ("samples", Report.Int r.Harness.Observe.o_samples);
-             ("spans", Report.Int r.Harness.Observe.o_spans);
-             ("failovers", Report.Int r.Harness.Observe.o_failovers);
-             ("stitched_traces", Report.Int r.Harness.Observe.o_stitched);
-             ("burn_alerts_fast", Report.Int r.Harness.Observe.o_fast_alerts);
-             ("burn_alerts_slow", Report.Int r.Harness.Observe.o_slow_alerts);
-             ("worst_burn", Report.Float r.Harness.Observe.o_worst_burn);
-             ("sup_timeline", timeline_json r.Harness.Observe.o_sup_timeline);
-             ("unsup_timeline", timeline_json r.Harness.Observe.o_unsup_timeline);
-             ("wall_s", Report.Float wall_s);
-             ("failures", Report.Int (List.length r.Harness.Observe.o_failures)) ]);
-      Printf.printf "  wrote %s\n" path);
-  (match r.Harness.Observe.o_failures with
-  | [] ->
-      Printf.printf
-        "telemetry plane held: zero model cycles with registries off, stitched \
-         cross-host traces and burn-rate paging with them on, silence fault-free\n"
-  | fails -> List.iter (fun f -> Printf.printf "FAILED: %s\n" f) fails);
-  Harness.Observe.exit_code r
+  let failures = r.Harness.Observe.o_failures in
+  write_bench bench_out
+    (Harness.Scenario.bench_doc ~name:"telemetry" ~wall_s ~failures r.o_metrics);
+  verdict failures
+    ~ok:
+      "telemetry plane held: zero model cycles with registries off, stitched \
+       cross-host traces and burn-rate paging with them on, silence fault-free"
 
 let telemetry_cmd =
   let seed_arg =
@@ -856,19 +454,9 @@ let telemetry_cmd =
           ~doc:"Fleet scenario seed (default matches the regression sentinel's pin).")
   in
   let chrome_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome-out" ] ~docv:"FILE"
-          ~doc:
-            "Export the enabled run's fleet-wide Chrome trace (one pid row per \
-             VMM host) to $(docv).")
-  in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE" ~doc:"Write a JSON benchmark summary to $(docv).")
+    file_arg "chrome-out"
+      "Export the enabled run's fleet-wide Chrome trace (one pid row per VMM host) \
+       to $(docv)."
   in
   Cmd.v
     (Cmd.info "telemetry"
@@ -880,86 +468,9 @@ let telemetry_cmd =
           fault-free.")
     Term.(const run_telemetry $ seed_arg $ chrome_arg $ bench_out_arg)
 
-let run_adversary seeds base verbose bench_out =
-  let progress (r : Harness.Adversary.seed_report) =
-    if verbose || r.Harness.Adversary.failures <> [] then
-      Format.printf "%a@?" Harness.Adversary.pp_seed_report r
-  in
-  let t0 = Sys.time () in
-  let v =
-    Harness.Adversary.run_seeds ~progress
-      ~seeds:(Harness.Adversary.seeds_from ~base ~count:seeds)
-      ()
-  in
-  let wall_s = Sys.time () -. t0 in
-  Printf.printf "%s\n" (Harness.Adversary.summary_line v);
-  (match bench_out with
-  | None -> ()
-  | Some path ->
-      Report.write ~path
-        (Report.bench ~name:"adversary"
-           [ ("seeds", Report.Int v.Harness.Adversary.seeds_run);
-             ("classes", Report.Int (List.length Attacks.Adversary.classes));
-             ("attacks", Report.Int v.Harness.Adversary.total_attacks);
-             ("lies_detected", Report.Int v.Harness.Adversary.total_lies_detected);
-             ("refusals", Report.Int v.Harness.Adversary.total_refusals);
-             ("survived", Report.Int v.Harness.Adversary.total_survived);
-             ("refused", Report.Int v.Harness.Adversary.total_refused);
-             ("degraded", Report.Int v.Harness.Adversary.total_degraded);
-             ("killed", Report.Int v.Harness.Adversary.total_killed);
-             ("wall_s", Report.Float wall_s);
-             ("failures", Report.Int (List.length v.Harness.Adversary.failures)) ]);
-      Printf.printf "  wrote %s\n" path);
-  (match v.Harness.Adversary.failures with
-  | [] ->
-      Printf.printf
-        "all invariants held: zero plaintext leaks, zero silent corruptions \
-         (fault-free digest or typed refusal), deterministic audit\n"
-  | fails ->
-      List.iter (fun (seed, what) -> Printf.printf "FAILED seed %d: %s\n" seed what) fails);
-  Harness.Adversary.exit_code v
-
-let adversary_cmd =
-  let seeds_arg =
-    Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc:"Number of workload seeds.")
-  in
-  let base_arg =
-    Arg.(value & opt int 1 & info [ "base" ] ~docv:"SEED" ~doc:"First seed of the sweep.")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Print every seed's report, not just failures.")
-  in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE" ~doc:"Write a JSON benchmark summary to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "adversary"
-       ~doc:
-         "Run every workload under the malicious-kernel personality: lying syscall \
-          returns, address-space remap/replay, identity confusion and scheduling \
-          attacks, per class per seed, checking zero plaintext leaks, zero silent \
-          corruptions (fault-free digest or typed refusal) and audit determinism.")
-    Term.(const run_adversary $ seeds_arg $ base_arg $ verbose_arg $ bench_out_arg)
-
 let trace_cmd =
-  let workload_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload: $(b,fileio) or a compute kernel name.")
-  in
-  let scale_arg =
-    Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Problem size multiplier.")
-  in
   let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Export the event stream as Chrome trace_event JSON to $(docv).")
+    file_arg "json" "Export the event stream as Chrome trace_event JSON to $(docv)."
   in
   Cmd.v
     (Cmd.info "trace"
@@ -970,12 +481,7 @@ let trace_cmd =
     Term.(const run_trace $ workload_arg $ cloaked_flag $ scale_arg $ json_arg)
 
 let trace_overhead_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write a JSON benchmark summary to $(docv).")
-  in
+  let out_arg = file_arg "out" "Write a JSON benchmark summary to $(docv)." in
   Cmd.v
     (Cmd.info "trace-overhead"
        ~doc:
@@ -985,28 +491,13 @@ let trace_overhead_cmd =
     Term.(const run_trace_overhead $ out_arg)
 
 let profile_cmd =
-  let workload_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload: $(b,fileio) or a compute kernel name.")
-  in
-  let scale_arg =
-    Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Problem size multiplier.")
-  in
   let diff_arg =
     Arg.(
       value & flag
       & info [ "diff-native" ]
           ~doc:"Also run the workload uncloaked and print the differential profile.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write collapsed stacks (flamegraph.pl input) to $(docv).")
-  in
+  let out_arg = file_arg "out" "Write collapsed stacks (flamegraph.pl input) to $(docv)." in
   let cap_arg =
     Arg.(
       value & opt int 1_048_576
@@ -1048,12 +539,7 @@ let regress_cmd =
       & info [ "update-baselines" ]
           ~doc:"Re-measure the suite and rewrite the baselines file instead of comparing.")
   in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE" ~doc:"Write the drift table as JSON to $(docv).")
-  in
+  let bench_out_arg = file_arg "bench-out" "Write the drift table as JSON to $(docv)." in
   Cmd.v
     (Cmd.info "regress"
        ~doc:
@@ -1071,19 +557,14 @@ let usage_listing =
   [ ("kernel", "run one SPEC-style compute kernel and report model cycles");
     ("attack", "run malicious-OS attacks and report leak/detection outcomes");
     ("counters", "run the fileio workload and dump all VMM event counters");
-    ("chaos", "seeded fault-injection sweep checking the hostile-world invariants");
-    ("recover", "one crash point + metadata-journal recovery replay, narrated");
-    ("crash-matrix", "power-cut every journal/device write site across N seeds");
-    ("soak", "supervised availability soak under sustained lethal fault plans");
-    ("migrate", "live-migrate a cloaked process over a hostile, lossy channel");
-    ("fleet", "fleet supervisor: failover + graceful degradation under open-loop load");
-    ("telemetry", "prove fleet telemetry free when off, stitched traces + burn alerts when on");
-    ("adversary", "every workload under a malicious kernel: Iago lies, remap/replay, identity");
-    ("trace", "flight-recorder latency decomposition for one workload");
-    ("trace-overhead", "prove the recorder adds zero model cycles");
-    ("profile", "exact cycle-attribution tree + flamegraph export (--diff-native)");
-    ("regress", "perf-regression sentinel against committed baselines");
-    ("list", "list available kernels and attacks") ]
+    ("recover", "one crash point + metadata-journal recovery replay, narrated") ]
+  @ List.map (fun (Harness.Scenario.Any sc) -> (sc.name, sc.doc)) Harness.scenarios
+  @ [ ("telemetry", "prove fleet telemetry free when off, stitched traces + burn alerts when on");
+      ("trace", "flight-recorder latency decomposition for one workload");
+      ("trace-overhead", "prove the recorder adds zero model cycles");
+      ("profile", "exact cycle-attribution tree + flamegraph export (--diff-native)");
+      ("regress", "perf-regression sentinel against committed baselines");
+      ("list", "list available kernels and attacks") ]
 
 let run_usage () =
   Printf.printf
@@ -1103,8 +584,7 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group ~default:Term.(const run_usage $ const ()) info
-          [ kernel_cmd; attack_cmd; counters_cmd; chaos_cmd; recover_cmd; crash_matrix_cmd;
-            soak_cmd; migrate_cmd; fleet_cmd; telemetry_cmd; adversary_cmd; trace_cmd;
-            trace_overhead_cmd;
-            profile_cmd;
-            regress_cmd; list_cmd ]))
+          ([ kernel_cmd; attack_cmd; counters_cmd; recover_cmd ]
+          @ List.map sweep_cmd Harness.scenarios
+          @ [ telemetry_cmd; trace_cmd; trace_overhead_cmd; profile_cmd; regress_cmd;
+              list_cmd ])))

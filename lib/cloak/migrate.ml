@@ -283,7 +283,7 @@ let sender vmm ~session ?(chunk_size = default_chunk_size) ?(trace_id = 0) blob 
     s_chunk_size = chunk_size;
     s_nchunks = nchunks;
     s_digest = Oscrypto.Sha256.hex (Oscrypto.Hmac.mac ~key blob);
-    s_acked = Array.make (max nchunks 1) false;
+    s_acked = Array.make nchunks false;
     s_offer_acked = false;
     s_ready = false;
     s_commit_acked = false;
@@ -364,10 +364,7 @@ let ready s = s.s_ready
 let commit_acked s = s.s_commit_acked
 let abort_acked s = s.s_abort_acked
 
-let outstanding s =
-  let n = ref 0 in
-  Array.iter (fun a -> if not a then incr n) s.s_acked;
-  if s.s_nchunks = 0 then 0 else !n
+let outstanding s = Array.fold_left (fun n a -> if a then n else n + 1) 0 s.s_acked
 
 (* --- receiver (destination VMM) --- *)
 
@@ -441,15 +438,12 @@ let rejected r why =
   end;
   []
 
-(* All chunks present: verify the end-to-end digest before exposing the
-   blob. Per-chunk MACs already authenticate each piece; the digest binds
-   the *composition* (count, order, total length) to the offer. *)
+(* All chunks present (zero of them for an empty blob): verify the
+   end-to-end digest before exposing the blob. Per-chunk MACs already
+   authenticate each piece; the length and digest checks bind the
+   *composition* (count, order, total length) to the offer. *)
 let assemble r =
-  let buf = Buffer.create (max r.r_blob_len 16) in
-  Array.iter
-    (function Some c -> Buffer.add_bytes buf c | None -> assert false)
-    r.r_chunks;
-  let blob = Buffer.to_bytes buf in
+  let blob = Bytes.concat Bytes.empty (List.filter_map Fun.id (Array.to_list r.r_chunks)) in
   charge_check r.r_vmm (Bytes.length blob);
   if
     Bytes.length blob <> r.r_blob_len
@@ -480,7 +474,7 @@ let deliver r wire =
         r.r_nchunks <- nchunks;
         r.r_blob_len <- blob_len;
         r.r_digest <- digest;
-        r.r_chunks <- Array.make (max nchunks 1) None;
+        r.r_chunks <- Array.make nchunks None;
         let a = ack ack_offer in
         if nchunks = 0 && r.r_blob = None then a :: assemble r else [ a ]
       end

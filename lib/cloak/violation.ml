@@ -12,6 +12,10 @@ type t = { kind : kind; detail : string; resource : Resource.t option }
 
 exception Security_fault of t
 
+let is_stale = function
+  | Security_fault { kind = Stale_checkpoint; _ } -> true
+  | _ -> false
+
 let kind_to_string = function
   | Integrity -> "integrity"
   | Relocation -> "relocation"

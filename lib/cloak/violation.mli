@@ -39,6 +39,10 @@ type t = {
 
 exception Security_fault of t
 
+val is_stale : exn -> bool
+(** [true] iff the exception is a [Stale_checkpoint] security fault — the
+    one outcome a replayed or double-resumed checkpoint may have. *)
+
 val fail : ?resource:Resource.t -> kind -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [fail kind fmt ...] raises {!Security_fault} with a formatted detail. *)
 

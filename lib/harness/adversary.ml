@@ -126,17 +126,13 @@ let workload_for ~seed = List.nth workloads (abs seed mod List.length workloads)
 type raw = {
   raw_exit : int option;
   raw_digest : int option;
-  raw_crash : string option;
-  raw_leaks : string list;
-  raw_trace_failures : string list;
-  raw_audit : string list;
-  raw_audit_dropped : int;
+  raw_hdr : Scenario.header;
   raw_counters : Counters.t;
 }
 
 let run_stack ~seed ~(w : workload) ~adversary =
   let engine = Inject.create (Inject.plan ~seed []) in
-  let vconfig = Sweep.vconfig ~salt ~seed in
+  let vconfig = Scenario.vconfig ~salt ~seed in
   let trace = Trace.ring () in
   let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace () in
   let k = Kernel.create ~config:kconfig vmm in
@@ -158,11 +154,9 @@ let run_stack ~seed ~(w : workload) ~adversary =
   {
     raw_exit = Kernel.exit_status k ~pid;
     raw_digest = !digest;
-    raw_crash = crash;
-    raw_leaks = Sweep.scan_leaks ~pattern:secret vmm k;
-    raw_trace_failures = Trace.Check.verdict trace;
-    raw_audit = Inject.Audit.lines (Cloak.Vmm.audit vmm);
-    raw_audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit vmm);
+    raw_hdr =
+      Scenario.observe ~crash ~leaks:(Scenario.scan_leaks ~pattern:secret vmm k)
+        vmm trace;
     raw_counters = Cloak.Vmm.counters vmm;
   }
 
@@ -204,38 +198,9 @@ type class_report = {
   lies_detected : int;
   refusals : int;
   outcome : outcome;
-  cr_failures : string list;
 }
 
-let check_class ~ff_digest (raw : raw) cls =
-  let fails = ref [] in
-  let add fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
-  (match raw.raw_crash with
-  | Some msg -> add "[%s] uncaught exception: %s" (Adv.class_name cls) msg
-  | None -> ());
-  (match raw.raw_leaks with
-  | [] -> ()
-  | l ->
-      add "[%s] plaintext canary leaked to: %s" (Adv.class_name cls)
-        (String.concat ", " l));
-  List.iter
-    (fun f -> add "[%s] trace invariant: %s" (Adv.class_name cls) f)
-    raw.raw_trace_failures;
-  let outcome = classify ~ff_digest raw in
-  (match outcome with
-  | Silent what -> add "[%s] silent corruption: %s" (Adv.class_name cls) what
-  | _ -> ());
-  let c = raw.raw_counters in
-  {
-    cls;
-    attacks = c.Counters.adv_attacks;
-    lies_detected = c.Counters.hostile_lies_detected;
-    refusals = c.Counters.hostile_refusals;
-    outcome;
-    cr_failures = List.rev !fails;
-  }
-
-(* --- one seed: fault-free baseline, then every class twice --- *)
+(* --- the scenario: fault-free baseline, then every class replayed --- *)
 
 type seed_report = {
   seed : int;
@@ -248,41 +213,41 @@ type seed_report = {
   refused : int;
   degraded : int;
   killed : int;
-  audit_dropped : int;
-  failures : string list;
 }
 
-let run_seed ~seed =
+let run_seed c =
+  let seed = Scenario.seed c in
   let w = workload_for ~seed in
-  let fails = ref [] in
-  let add fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
-  let ff = run_stack ~seed ~w ~adversary:None in
-  (match ff.raw_crash with
-  | Some msg -> add "fault-free crash: %s" msg
-  | None -> ());
+  let cell ?replay label adversary =
+    Scenario.cell c ?replay label ~header:(fun r -> r.raw_hdr) (fun () ->
+        run_stack ~seed ~w ~adversary)
+  in
+  let ff = cell "fault-free" None in
   if ff.raw_exit <> Some 0 then
-    add "fault-free run of %s exited %s" w.w_name
-      (match ff.raw_exit with Some s -> string_of_int s | None -> "never");
+    Scenario.fail c
+      (Printf.sprintf "fault-free run of %s exited %s" w.w_name
+         (match ff.raw_exit with Some s -> string_of_int s | None -> "never"));
   let classes =
     List.map
       (fun cls ->
-        let a = run_stack ~seed ~w ~adversary:(Some cls) in
-        let b = run_stack ~seed ~w ~adversary:(Some cls) in
-        (match
-           Sweep.determinism_failure ~audit_a:a.raw_audit ~audit_b:b.raw_audit
-             ~dropped:(max a.raw_audit_dropped b.raw_audit_dropped)
-         with
-        | Some what -> add "[%s] %s" (Adv.class_name cls) what
-        | None -> ());
-        let cr = check_class ~ff_digest:ff.raw_digest a cls in
-        List.iter (fun f -> fails := f :: !fails) (List.rev cr.cr_failures);
-        (cr, max a.raw_audit_dropped b.raw_audit_dropped))
+        let label = "[" ^ Adv.class_name cls ^ "]" in
+        let raw = cell ~replay:true label (Some cls) in
+        let outcome = classify ~ff_digest:ff.raw_digest raw in
+        (match outcome with
+        | Silent what -> Scenario.fail c (label ^ " silent corruption: " ^ what)
+        | _ -> ());
+        let k = raw.raw_counters in
+        {
+          cls;
+          attacks = k.Counters.adv_attacks;
+          lies_detected = k.Counters.hostile_lies_detected;
+          refusals = k.Counters.hostile_refusals;
+          outcome;
+        })
       Adv.classes
   in
-  let dropped = List.fold_left (fun acc (_, d) -> max acc d) 0 classes in
-  let classes = List.map fst classes in
   let count f = List.length (List.filter f classes) in
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 classes in
+  let sum f = Scenario.sum f classes in
   {
     seed;
     workload = w.w_name;
@@ -294,64 +259,38 @@ let run_seed ~seed =
     refused = count (fun c -> c.outcome = Refused);
     degraded = count (fun c -> c.outcome = Degraded);
     killed = count (fun c -> match c.outcome with Killed _ -> true | _ -> false);
-    audit_dropped = dropped;
-    failures = List.rev !fails;
   }
 
-(* --- the sweep --- *)
-
-type verdict = {
-  seeds_run : int;
-  total_attacks : int;
-  total_lies_detected : int;
-  total_refusals : int;
-  total_survived : int;
-  total_refused : int;
-  total_degraded : int;
-  total_killed : int;
-  failures : (int * string) list;
-}
-
-let run_seeds ?progress ~seeds () =
-  let reports = Sweep.map_seeds ?progress ~run:(fun ~seed -> run_seed ~seed) seeds in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-  {
-    seeds_run = List.length reports;
-    total_attacks = sum (fun r -> r.attacks);
-    total_lies_detected = sum (fun r -> r.lies_detected);
-    total_refusals = sum (fun r -> r.refusals);
-    total_survived = sum (fun r -> r.survived);
-    total_refused = sum (fun r -> r.refused);
-    total_degraded = sum (fun r -> r.degraded);
-    total_killed = sum (fun r -> r.killed);
-    failures =
-      Sweep.collect_failures ~seed_of:(fun r -> r.seed)
-        ~failures_of:(fun r -> r.failures)
-        reports;
-  }
-
-let seeds_from = Sweep.seeds_from
-let exit_code v = Sweep.exit_code v.failures
-
-let summary_line v =
-  Printf.sprintf
-    "adversary: %d seeds x %d classes, %d attacks -> %d survived, %d refused, \
-     %d degraded, %d killed; %d lies detected, %d refusals, %d failures"
-    v.seeds_run
-    (List.length Adv.classes)
-    v.total_attacks v.total_survived v.total_refused v.total_degraded
-    v.total_killed v.total_lies_detected v.total_refusals
-    (List.length v.failures)
+let aggregate rs =
+  let total f = Report.Int (Scenario.sum f rs) in
+  ( [ ("classes", Report.Int (List.length Adv.classes));
+      ("attacks", total (fun r -> r.attacks));
+      ("lies_detected", total (fun r -> r.lies_detected));
+      ("refusals", total (fun r -> r.refusals));
+      ("survived", total (fun r -> r.survived));
+      ("refused", total (fun r -> r.refused));
+      ("degraded", total (fun r -> r.degraded));
+      ("killed", total (fun r -> r.killed)) ],
+    [] )
 
 let pp_seed_report ppf r =
-  Format.fprintf ppf "seed %d [%s]: %d attacks, %s" r.seed r.workload r.attacks
+  Format.fprintf ppf "seed %d [%s]: %d attacks, %s@." r.seed r.workload r.attacks
     (String.concat " "
        (List.map
           (fun c ->
             Printf.sprintf "%s=%s" (Adv.class_name c.cls) (outcome_name c.outcome))
-          r.classes));
-  (match Sweep.truncation_note r.audit_dropped with
-  | Some note -> Format.fprintf ppf " (%s)" note
-  | None -> ());
-  List.iter (fun f -> Format.fprintf ppf "@.    FAILED %s" f) r.failures;
-  Format.fprintf ppf "@."
+          r.classes))
+
+let scenario =
+  {
+    Scenario.name = "adversary";
+    bench = "adversary";
+    doc = "every workload under a malicious kernel: Iago lies, remap/replay, identity";
+    default_seeds = 20;
+    ok =
+      "all invariants held: zero plaintext leaks, zero silent corruptions \
+       (fault-free digest or typed refusal), deterministic audit";
+    run_seed;
+    pp = pp_seed_report;
+    aggregate;
+  }

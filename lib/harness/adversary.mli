@@ -20,12 +20,6 @@
 
 val secret : string
 
-val exit_refused : int
-(** 81: the victim's [Hostile_os] exit. *)
-
-val exit_degraded : int
-(** 82: the victim's typed-errno exit. *)
-
 val kconfig : Guest.Kernel.config
 
 (** {1 Victims} *)
@@ -39,8 +33,6 @@ val workloads : workload list
 (** The E2/E3 set: every SPEC-style kernel plus the fileio mix, each
     carrying the cloaked canary and publishing an output digest. *)
 
-val workload_for : seed:int -> workload
-
 (** {1 Verdicts} *)
 
 type outcome =
@@ -50,7 +42,6 @@ type outcome =
   | Killed of int  (** VMM/kernel containment: -2, -3, 137, 139 *)
   | Silent of string  (** the one forbidden outcome *)
 
-val outcome_name : outcome -> string
 
 type class_report = {
   cls : Attacks.Adversary.cls;
@@ -58,7 +49,6 @@ type class_report = {
   lies_detected : int;
   refusals : int;
   outcome : outcome;
-  cr_failures : string list;
 }
 
 type seed_report = {
@@ -72,29 +62,9 @@ type seed_report = {
   refused : int;
   degraded : int;
   killed : int;
-  audit_dropped : int;
-  failures : string list;
 }
 
-val run_seed : seed:int -> seed_report
-(** One fault-free baseline plus every attack class twice (9 stacks). *)
-
-type verdict = {
-  seeds_run : int;
-  total_attacks : int;
-  total_lies_detected : int;
-  total_refusals : int;
-  total_survived : int;
-  total_refused : int;
-  total_degraded : int;
-  total_killed : int;
-  failures : (int * string) list;
-}
-
-val run_seeds :
-  ?progress:(seed_report -> unit) -> seeds:int list -> unit -> verdict
-
-val seeds_from : base:int -> count:int -> int list
-val exit_code : verdict -> int
-val summary_line : verdict -> string
-val pp_seed_report : Format.formatter -> seed_report -> unit
+val scenario : seed_report Scenario.t
+(** Per seed: one fault-free baseline cell, then every attack class as a
+    replayed cell (9 stacks); a class whose victim finishes with the wrong
+    digest or an untyped status is a silent corruption. *)

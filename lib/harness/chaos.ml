@@ -7,7 +7,6 @@ open Machine
 open Guest
 
 let secret = "CHAOS-CANARY-TOP-SECRET-PAYLOAD!"
-let contains_secret = Sweep.contains_pattern secret
 
 (* --- the workload ---
 
@@ -118,24 +117,18 @@ let kconfig =
 type report = {
   seed : int;
   plan : Inject.plan;
-  crash : string option;
-  leaks : string list;
-  audit : string list;
-  audit_dropped : int;
+  hdr : Scenario.header;
   injections : int;
   contained : int;
   exit_statuses : (int * int option) list;
-  trace_failures : string list;
   trace_dropped : int;
   hot_spots : (string * int) list;
 }
 
-let scan_leaks vmm k = Sweep.scan_leaks ~pattern:secret vmm k
-
 let run_once ~seed =
   let plan = Inject.random_plan ~seed in
   let engine = Inject.create plan in
-  let vconfig = Sweep.vconfig ~salt:0xC4A05 ~seed in
+  let vconfig = Scenario.vconfig ~salt:0xC4A05 ~seed in
   let trace = Trace.ring () in
   let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace () in
   let k = Kernel.create ~config:kconfig vmm in
@@ -151,14 +144,12 @@ let run_once ~seed =
   {
     seed;
     plan;
-    crash;
-    leaks = scan_leaks vmm k;
-    audit = Inject.Audit.lines (Cloak.Vmm.audit vmm);
-    audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit vmm);
+    hdr =
+      Scenario.observe ~crash ~leaks:(Scenario.scan_leaks ~pattern:secret vmm k)
+        vmm trace;
     injections = Inject.injections engine;
     contained = (Cloak.Vmm.counters vmm).contained;
     exit_statuses = List.map (fun pid -> (pid, Kernel.exit_status k ~pid)) pids;
-    trace_failures = Trace.Check.verdict trace;
     trace_dropped = Trace.dropped trace;
     hot_spots =
       Profile.hot_spots ~root:"chaos"
@@ -166,76 +157,16 @@ let run_once ~seed =
         ~n:3 trace;
   }
 
-(* --- invariant checking over many seeds --- *)
-
-type verdict = {
-  runs : int;
-  total_injections : int;
-  total_contained : int;
-  security_kills : int;
-  failures : (int * string) list;  (* seed, what broke *)
-}
-
-let check_report r =
-  let fails = ref [] in
-  (match r.crash with
-  | Some msg -> fails := Printf.sprintf "uncaught exception: %s" msg :: !fails
-  | None -> ());
-  (match r.leaks with
-  | [] -> ()
-  | l ->
-      fails :=
-        Printf.sprintf "plaintext secret leaked to: %s" (String.concat ", " l)
-        :: !fails);
-  List.iter
-    (fun f -> fails := Printf.sprintf "trace invariant: %s" f :: !fails)
-    r.trace_failures;
-  !fails
-
-let run_seeds ?(progress = fun _ -> ()) ~seeds () =
-  let failures = ref [] in
-  let runs = ref 0 and inj = ref 0 and cont = ref 0 and kills = ref 0 in
-  List.iter
-    (fun seed ->
-      let r = run_once ~seed in
-      let r' = run_once ~seed in
-      incr runs;
-      inj := !inj + r.injections;
-      cont := !cont + r.contained;
-      kills :=
-        !kills
-        + List.length
-            (List.filter (fun (_, s) -> s = Some (-2)) r.exit_statuses);
-      List.iter (fun f -> failures := (seed, f) :: !failures) (check_report r);
-      (match
-         Sweep.determinism_failure ~audit_a:r.audit ~audit_b:r'.audit
-           ~dropped:(max r.audit_dropped r'.audit_dropped)
-       with
-      | Some what -> failures := (seed, what) :: !failures
-      | None -> ());
-      progress r)
-    seeds;
-  {
-    runs = !runs;
-    total_injections = !inj;
-    total_contained = !cont;
-    security_kills = !kills;
-    failures = List.rev !failures;
-  }
-
-let seeds_from = Sweep.seeds_from
-let exit_code v = Sweep.exit_code v.failures
-
 let pp_report ppf r =
   Format.fprintf ppf "seed %d: %d injections, %d contained, %s@." r.seed
     r.injections r.contained
-    (match r.crash with
+    (match r.hdr.crash with
     | Some m -> "CRASH " ^ m
     | None -> (
-        match r.leaks with
+        match r.hdr.leaks with
         | [] -> "clean"
         | l -> "LEAK " ^ String.concat ", " l));
-  (match Sweep.truncation_note r.audit_dropped with
+  (match Scenario.truncation_note r.hdr.audit_dropped with
   | Some note -> Format.fprintf ppf "    %s@." note
   | None -> ());
   (match r.hot_spots with
@@ -250,5 +181,28 @@ let pp_report ppf r =
            (List.map (fun (p, cy) -> Printf.sprintf " %s=%dcy" p cy) spots)));
   List.iter
     (fun f -> Format.fprintf ppf "    TRACE %s@." f)
-    r.trace_failures;
-  List.iter (fun line -> Format.fprintf ppf "    %s@." line) r.audit
+    r.hdr.trace_failures;
+  List.iter (fun line -> Format.fprintf ppf "    %s@." line) r.hdr.audit
+
+(* --- the scenario: one hostile cell per seed, replayed --- *)
+
+let scenario =
+  {
+    Scenario.name = "chaos";
+    bench = "chaos";
+    doc = "seeded fault-injection sweep checking the hostile-world invariants";
+    default_seeds = 10;
+    ok = "all invariants held: no escapes, no leaks, deterministic replay";
+    run_seed =
+      (fun c ->
+        Scenario.cell c ~replay:true "hostile" ~header:(fun r -> r.hdr)
+          (fun () -> run_once ~seed:(Scenario.seed c)));
+    pp = pp_report;
+    aggregate =
+      (fun rs ->
+        let kills r = List.length (List.filter (fun (_, s) -> s = Some (-2)) r.exit_statuses) in
+        ( [ ("injections", Report.Int (Scenario.sum (fun r -> r.injections) rs));
+            ("contained", Report.Int (Scenario.sum (fun r -> r.contained) rs));
+            ("security_kills", Report.Int (Scenario.sum kills rs)) ],
+          [] ));
+  }

@@ -17,8 +17,6 @@
 val secret : string
 (** The canary planted in cloaked memory by the workload. *)
 
-val contains_secret : bytes -> bool
-
 val kconfig : Guest.Kernel.config
 (** Deliberately tight guest memory so the workload swaps. *)
 
@@ -31,17 +29,10 @@ val antagonist : Guest.Abi.program
 type report = {
   seed : int;
   plan : Inject.plan;
-  crash : string option;   (** exception escaping [Kernel.run], if any *)
-  leaks : string list;     (** OS-visible surfaces holding the secret *)
-  audit : string list;
-  audit_dropped : int;     (** audit-ring entries lost to the bounded window *)
+  hdr : Scenario.header;
   injections : int;
   contained : int;
   exit_statuses : (int * int option) list;
-  trace_failures : string list;
-      (** flight-recorder invariant violations ({!Trace.Check.verdict});
-          empty both when the run is clean and when the trace ring wrapped
-          (see [trace_dropped]) *)
   trace_dropped : int;  (** events evicted from the trace ring *)
   hot_spots : (string * int) list;
       (** top self-cycle call contexts of the run ({!Profile.hot_spots}) —
@@ -53,22 +44,8 @@ type report = {
 val run_once : seed:int -> report
 (** One seeded chaos run (fresh stack, fresh plan). *)
 
-type verdict = {
-  runs : int;
-  total_injections : int;
-  total_contained : int;
-  security_kills : int;    (** processes terminated with status -2 *)
-  failures : (int * string) list;  (** (seed, broken invariant) — empty
-                                       when the hostile world lost *)
-}
-
-val run_seeds :
-  ?progress:(report -> unit) -> seeds:int list -> unit -> verdict
-(** Run every seed twice (for the determinism invariant) and aggregate. *)
-
-val exit_code : verdict -> int
-(** Process exit status for the CLI: 0 iff no invariant failed. *)
-
-val seeds_from : base:int -> count:int -> int list
+val scenario : report Scenario.t
+(** One hostile cell per seed, replayed for determinism; aggregates the
+    injections, contained faults and security kills. *)
 
 val pp_report : Format.formatter -> report -> unit

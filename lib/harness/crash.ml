@@ -20,7 +20,8 @@ let kconfig =
     journal_ckpt_every = 24;
   }
 
-let vmm_seed seed = 0xC4A05 lxor (seed * 0x2545F491)
+(* The chaos salt: a crash run derives the same keys as a chaos run. *)
+let vconfig seed = Scenario.vconfig ~salt:0xC4A05 ~seed
 
 (* --- the workload ---
 
@@ -143,6 +144,7 @@ let point_to_string p =
 
 type raw_run = {
   kernel : Kernel.t option;  (* None: the crash hit during boot (journal attach) *)
+  engine : Inject.t;
   vmm : Cloak.Vmm.t;
   trace : Trace.t;
   crashed : bool;
@@ -151,15 +153,14 @@ type raw_run = {
 
 let run_workload ~seed ~plan =
   let engine = Inject.create plan in
-  let vconfig = { Cloak.Vmm.default_config with seed = vmm_seed seed } in
   let trace = Trace.ring () in
-  let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace () in
+  let vmm = Cloak.Vmm.create ~config:(vconfig seed) ~engine ~trace () in
   let ledger : ledger = Hashtbl.create 32 in
   match
     try `Up (Kernel.create ~config:kconfig vmm)
     with Inject.Vmm_crash _ -> `Boot_crash
   with
-  | `Boot_crash -> { kernel = None; vmm; trace; crashed = true; ledger }
+  | `Boot_crash -> { kernel = None; engine; vmm; trace; crashed = true; ledger }
   | `Up k ->
       (match Cloak.Vmm.journal vmm with
       | Some j -> Cloak.Journal.set_observer j (Some (ledger_apply ledger))
@@ -172,9 +173,13 @@ let run_workload ~seed ~plan =
           false
         with Inject.Vmm_crash _ -> true
       in
-      { kernel = Some k; vmm; trace; crashed; ledger }
+      { kernel = Some k; engine; vmm; trace; crashed; ledger }
 
-(* --- calibration: occurrence counts and journal overhead, no faults --- *)
+(* --- calibration: occurrence counts and journal overhead, no faults ---
+
+   One fault-free run per seed: the occurrence counts bound the crash
+   matrix (up to [per_site] evenly spaced occurrences per site) and the
+   journal counters feed the overhead benchmark. *)
 
 type journal_stats = {
   records : int;
@@ -185,14 +190,7 @@ type journal_stats = {
 }
 
 let calibrate ~seed =
-  let plan = Inject.plan [] in
-  let engine = Inject.create plan in
-  let vconfig = { Cloak.Vmm.default_config with seed = vmm_seed seed } in
-  let vmm = Cloak.Vmm.create ~config:vconfig ~engine () in
-  let k = Kernel.create ~config:kconfig vmm in
-  ignore (Kernel.spawn k ~cloaked:true protagonist);
-  ignore (Kernel.spawn k antagonist);
-  Kernel.run k;
+  let { vmm; engine; _ } = run_workload ~seed ~plan:(Inject.plan []) in
   let records, store_writes, checkpoints =
     match Cloak.Vmm.journal vmm with
     | Some j ->
@@ -207,15 +205,13 @@ let calibrate ~seed =
     occurrences = List.map (fun s -> (s, Inject.occurrences engine s)) crash_sites;
   }
 
-(* Up to [per_site] evenly spaced occurrence numbers in [1..total]. *)
 let sample ~per_site total =
-  if total <= 0 then []
-  else if total <= per_site then List.init total (fun i -> i + 1)
-  else
-    List.init per_site (fun i -> 1 + (i * (total - 1) / (per_site - 1)))
-    |> List.sort_uniq compare
+  let k = min per_site total in
+  List.init (max 0 k) (fun i -> 1 + (i * (total - 1) / max 1 (k - 1)))
 
-let points_of_stats ?(per_site = 6) stats =
+let per_site = 6
+
+let points_of_stats stats =
   List.concat_map
     (fun (site, total) ->
       List.map (fun occurrence -> { site; occurrence }) (sample ~per_site total))
@@ -234,9 +230,7 @@ type outcome = {
   quarantined : int;
   replay_s : float;
   failures : string list;
-  audit : string list;  (* crash-run trail followed by the recovery trail *)
-  audit_dropped : int;
-  trace_dropped : int;
+  hdr : Scenario.header;
 }
 
 let run_point ~seed point =
@@ -249,21 +243,12 @@ let run_point ~seed point =
   let raw = run_workload ~seed ~plan in
   (* Everything in VMM memory is gone with the power cut; only the block
      devices survive. A fresh VMM from the same seed re-derives the keys. *)
-  let vconfig = { Cloak.Vmm.default_config with seed = vmm_seed seed } in
   let trace2 = Trace.ring () in
-  let vmm2 = Cloak.Vmm.create ~config:vconfig ~trace:trace2 () in
-  let store, read_block =
+  let vmm2 = Cloak.Vmm.create ~config:(vconfig seed) ~trace:trace2 () in
+  let read, read_block =
     match raw.kernel with
     | Some k ->
         let disk = Kernel.disk k and swap = Kernel.swap_device k in
-        let store =
-          {
-            Cloak.Journal.blocks = kconfig.journal_blocks;
-            block_size = Addr.page_size;
-            read = (fun b -> Blockdev.peek disk b);
-            write = (fun _ _ -> ());
-          }
-        in
         let read_block ~dev ~block =
           let d =
             if dev = Blockdev.name disk then Some disk
@@ -275,20 +260,16 @@ let run_point ~seed point =
               Some (Blockdev.peek d block)
           | _ -> None
         in
-        (store, read_block)
+        (Blockdev.peek disk, read_block)
     | None ->
         (* the crash hit while the journal itself was booting: the disk
            died with the kernel constructor, so recovery faces blank
            media — and must still come up empty-handed, not wrong *)
-        let store =
-          {
-            Cloak.Journal.blocks = kconfig.journal_blocks;
-            block_size = Addr.page_size;
-            read = (fun _ -> Bytes.create Addr.page_size);
-            write = (fun _ _ -> ());
-          }
-        in
-        (store, fun ~dev:_ ~block:_ -> None)
+        ((fun _ -> Bytes.make Addr.page_size '\000'), fun ~dev:_ ~block:_ -> None)
+  in
+  let store =
+    { Cloak.Journal.blocks = kconfig.journal_blocks; block_size = Addr.page_size; read;
+      write = (fun _ _ -> ()) }
   in
   let t0 = Sys.time () in
   let r = Cloak.Recovery.replay ~vmm:vmm2 ~store ~read_block in
@@ -340,15 +321,8 @@ let run_point ~seed point =
                        ~mac:m.Cloak.Journal.mac ~cipher)
                 then fail "accepted %s[%d] fails authentication" tag p.idx))
     r.Cloak.Recovery.pages;
-  (* trace-checked invariants over both halves of the story: the run that
-     died mid-write (prefix-closed rules tolerate the truncation) and the
-     recovery that replayed it *)
-  List.iter
-    (fun f -> fail "crash-run trace invariant: %s" f)
-    (Trace.Check.verdict raw.trace);
-  List.iter
-    (fun f -> fail "recovery trace invariant: %s" f)
-    (Trace.Check.verdict trace2);
+  let audit = Inject.Audit.lines (Cloak.Vmm.audit raw.vmm) @ Inject.Audit.lines (Cloak.Vmm.audit vmm2) in
+  let prefixed what trace = List.map (fun f -> what ^ f) (Trace.Check.verdict trace) in
   {
     point;
     seed;
@@ -360,107 +334,20 @@ let run_point ~seed point =
     quarantined = List.length r.Cloak.Recovery.quarantined;
     replay_s;
     failures = List.rev !fails;
-    audit =
-      Inject.Audit.lines (Cloak.Vmm.audit raw.vmm)
-      @ Inject.Audit.lines (Cloak.Vmm.audit vmm2);
-    audit_dropped =
-      Inject.Audit.dropped (Cloak.Vmm.audit raw.vmm)
-      + Inject.Audit.dropped (Cloak.Vmm.audit vmm2);
-    trace_dropped = Trace.dropped raw.trace + Trace.dropped trace2;
+    (* both halves of the story: the run that died mid-write (the
+       prefix-closed trace rules tolerate the truncation) and the recovery
+       that replayed it *)
+    hdr =
+      {
+        Scenario.crash = None;
+        leaks = [];
+        audit;
+        audit_dropped =
+          Inject.Audit.dropped (Cloak.Vmm.audit raw.vmm)
+          + Inject.Audit.dropped (Cloak.Vmm.audit vmm2);
+        trace_failures = prefixed "crash run: " raw.trace @ prefixed "recovery: " trace2;
+      };
   }
-
-(* --- the matrix --- *)
-
-type verdict = {
-  seeds : int;
-  points : int;
-  crashes : int;
-  ledger_committed_total : int;
-  committed_total : int;
-  redone_total : int;
-  torn_total : int;
-  quarantined_total : int;
-  replay_s_total : float;
-  records_per_run : int;
-  store_writes_per_run : int;
-  checkpoints_per_run : int;
-  data_writes_per_run : int;
-  site_points : (Inject.site * int) list;
-  failures : (int * string) list;  (* seed, what broke *)
-}
-
-let run_matrix ?(progress = fun _ -> ()) ?(per_site = 6) ~seeds () =
-  let failures = ref [] in
-  let points = ref 0 and crashes = ref 0 in
-  let ledger = ref 0 and comm = ref 0 and red = ref 0 and torn = ref 0 in
-  let quar = ref 0 and replay = ref 0.0 in
-  let recs = ref 0 and sw = ref 0 and cks = ref 0 and dw = ref 0 in
-  let site_points = Hashtbl.create 8 in
-  List.iter
-    (fun seed ->
-      let stats = calibrate ~seed in
-      recs := !recs + stats.records;
-      sw := !sw + stats.store_writes;
-      cks := !cks + stats.checkpoints;
-      dw := !dw + stats.data_writes;
-      List.iter
-        (fun point ->
-          let o = run_point ~seed point in
-          (* invariant 3: the whole crash + recovery story replays
-             bit-identically from the same seed *)
-          let o' = run_point ~seed point in
-          incr points;
-          if o.crashed then incr crashes
-          else
-            failures :=
-              (seed, Printf.sprintf "%s never fired" (point_to_string point))
-              :: !failures;
-          ledger := !ledger + o.ledger_committed;
-          comm := !comm + o.committed;
-          red := !red + o.redone;
-          torn := !torn + o.torn;
-          quar := !quar + o.quarantined;
-          replay := !replay +. o.replay_s;
-          Hashtbl.replace site_points point.site
-            (1 + Option.value ~default:0 (Hashtbl.find_opt site_points point.site));
-          List.iter
-            (fun f ->
-              failures := (seed, Printf.sprintf "%s: %s" (point_to_string point) f) :: !failures)
-            o.failures;
-          (match
-             Sweep.determinism_failure ~audit_a:o.audit ~audit_b:o'.audit
-               ~dropped:(max o.audit_dropped o'.audit_dropped)
-           with
-          | Some what ->
-              failures :=
-                (seed, Printf.sprintf "%s: %s" (point_to_string point) what)
-                :: !failures
-          | None -> ());
-          progress o)
-        (points_of_stats ~per_site stats))
-    seeds;
-  {
-    seeds = List.length seeds;
-    points = !points;
-    crashes = !crashes;
-    ledger_committed_total = !ledger;
-    committed_total = !comm;
-    redone_total = !red;
-    torn_total = !torn;
-    quarantined_total = !quar;
-    replay_s_total = !replay;
-    records_per_run = (if seeds = [] then 0 else !recs / List.length seeds);
-    store_writes_per_run = (if seeds = [] then 0 else !sw / List.length seeds);
-    checkpoints_per_run = (if seeds = [] then 0 else !cks / List.length seeds);
-    data_writes_per_run = (if seeds = [] then 0 else !dw / List.length seeds);
-    site_points =
-      List.map
-        (fun s -> (s, Option.value ~default:0 (Hashtbl.find_opt site_points s)))
-        crash_sites;
-    failures = List.rev !failures;
-  }
-
-let seeds_from ~base ~count = List.init (max 0 count) (fun i -> base + (i * 7919))
 
 let pp_outcome ppf o =
   Format.fprintf ppf
@@ -468,6 +355,70 @@ let pp_outcome ppf o =
     o.seed (point_to_string o.point)
     (if o.crashed then "crash" else "NO-CRASH")
     o.ledger_committed o.committed o.redone o.torn o.quarantined
-    (match o.failures with
+    (match o.failures @ o.hdr.trace_failures with
     | [] -> ""
     | l -> " FAILED " ^ String.concat "; " l)
+
+(* --- the scenario: calibrate, then every sampled crash point replayed --- *)
+
+type seed_report = { stats : journal_stats; outcomes : outcome list }
+
+let run_seed c =
+  let seed = Scenario.seed c in
+  let stats = calibrate ~seed in
+  let outcome point =
+    let label = point_to_string point in
+    let o =
+      Scenario.cell c ~replay:true label ~header:(fun o -> o.hdr) (fun () ->
+          run_point ~seed point)
+    in
+    if not o.crashed then Scenario.fail c (label ^ " never fired");
+    List.iter (fun f -> Scenario.fail c (label ^ ": " ^ f)) o.failures;
+    o
+  in
+  { stats; outcomes = List.map outcome (points_of_stats stats) }
+
+let aggregate rs =
+  let os = List.concat_map (fun r -> r.outcomes) rs in
+  let total f = Report.Int (Scenario.sum f os) in
+  let per_run f = if rs = [] then 0 else Scenario.sum (fun r -> f r.stats) rs / List.length rs in
+  let points = List.length os in
+  let replay_s = List.fold_left (fun acc o -> acc +. o.replay_s) 0.0 os in
+  let store = per_run (fun s -> s.store_writes) and data = per_run (fun s -> s.data_writes) in
+  ( [ ("crash_points", Report.Int points);
+      ("crashes_fired", total (fun o -> Bool.to_int o.crashed));
+      ( "sites",
+        Report.Obj
+          (List.map
+             (fun s ->
+               (Inject.site_to_string s, total (fun o -> Bool.to_int (o.point.site = s))))
+             crash_sites) );
+      ("ledger_committed", total (fun o -> o.ledger_committed));
+      ("recovered_committed", total (fun o -> o.committed));
+      ("recovered_redone", total (fun o -> o.redone));
+      ("torn_quarantined", total (fun o -> o.torn));
+      ("replay_total_s", Report.Float replay_s);
+      ( "replay_mean_ms",
+        Report.Float
+          (if points = 0 then 0.0 else 1000.0 *. replay_s /. float_of_int (2 * points)) );
+      ("journal_records_per_run", Report.Int (per_run (fun s -> s.records)));
+      ("journal_store_writes_per_run", Report.Int store);
+      ("journal_checkpoints_per_run", Report.Int (per_run (fun s -> s.checkpoints)));
+      ("data_writes_per_run", Report.Int data);
+      ( "journal_writes_per_data_write",
+        Report.Float (if data = 0 then 0.0 else float_of_int store /. float_of_int data) ) ],
+    [] )
+
+let scenario =
+  {
+    Scenario.name = "crash-matrix";
+    bench = "recovery";
+    doc = "power-cut every journal/device write site across N seeds";
+    default_seeds = 20;
+    ok =
+      "all invariants held: no committed-data loss, no torn-state acceptance, \
+       deterministic replay";
+    run_seed;
+    pp = (fun ppf r -> List.iter (Format.fprintf ppf "%a@." pp_outcome) r.outcomes);
+    aggregate;
+  }

@@ -39,6 +39,11 @@ type point = { site : Inject.site; occurrence : int }
 
 val point_to_string : point -> string
 
+val sample : per_site:int -> int -> int list
+(** [sample ~per_site total]: up to [per_site] evenly spaced occurrence
+    numbers spanning [1..total] inclusive, so the last occurrence (for a
+    migration, the post-fence COMMIT exchange) is always a crash point. *)
+
 (** {1 Calibration} *)
 
 type journal_stats = {
@@ -50,12 +55,6 @@ type journal_stats = {
       (** how often each crash site fired in the clean run *)
 }
 
-val calibrate : seed:int -> journal_stats
-(** One fault-free run: the occurrence counts bound the crash matrix and
-    the journal counters feed the overhead benchmark. *)
-
-val points_of_stats : ?per_site:int -> journal_stats -> point list
-(** Up to [per_site] (default 6) evenly spaced occurrences per site. *)
 
 (** {1 One crash point} *)
 
@@ -70,45 +69,23 @@ type outcome = {
   quarantined : int;
   replay_s : float;         (** wall-clock spent in {!Cloak.Recovery.replay} *)
   failures : string list;
-      (** broken invariants (durability, authentication, and the
-          flight-recorder trace checks over both the crash run and the
-          recovery); empty on success *)
-  audit : string list;      (** crash-run trail followed by recovery trail *)
-  audit_dropped : int;      (** audit entries lost to the bounded window,
-                                summed over both runs *)
-  trace_dropped : int;      (** trace events evicted, summed over both rings *)
+      (** broken durability and authentication invariants; empty on
+          success *)
+  hdr : Scenario.header;
+      (** the crash-run audit trail followed by the recovery trail, and
+          the flight-recorder verdicts of both *)
 }
 
 val run_point : seed:int -> point -> outcome
 (** Run the workload until the crash point fires, recover on a fresh
     same-seed VMM from the surviving devices, and check invariants 1-2. *)
 
+val pp_outcome : Format.formatter -> outcome -> unit
+
 (** {1 The matrix} *)
 
-type verdict = {
-  seeds : int;
-  points : int;             (** crash points exercised (each run twice) *)
-  crashes : int;            (** points where the cut actually fired *)
-  ledger_committed_total : int;
-  committed_total : int;
-  redone_total : int;
-  torn_total : int;
-  quarantined_total : int;
-  replay_s_total : float;
-  records_per_run : int;    (** per-seed averages from calibration *)
-  store_writes_per_run : int;
-  checkpoints_per_run : int;
-  data_writes_per_run : int;
-  site_points : (Inject.site * int) list;
-  failures : (int * string) list;
-      (** (seed, broken invariant) — empty when every crash point passed *)
-}
+type seed_report = { stats : journal_stats; outcomes : outcome list }
 
-val run_matrix :
-  ?progress:(outcome -> unit) -> ?per_site:int -> seeds:int list -> unit -> verdict
-(** The full sweep: calibrate each seed, run every sampled crash point
-    twice (the second run checks audit determinism), aggregate. *)
-
-val seeds_from : base:int -> count:int -> int list
-
-val pp_outcome : Format.formatter -> outcome -> unit
+val scenario : seed_report Scenario.t
+(** Per seed: calibrate, then every sampled crash point as a replayed cell
+    (invariant 3 is the runner's replay rule). *)

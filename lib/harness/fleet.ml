@@ -21,18 +21,12 @@ let antagonist = Migrate.antagonist
 let kconfig = Migrate.kconfig
 let policy = Migrate.policy
 
-let retry_limit = 8
-let deadline_disk_ops = 400
-
 let max_drain_attempts = 2
 (* aborted drain attempts per suspect host before the supervisor stops
    trying and leaves the process where it is *)
 
 let max_failover_attempts = 3
 (* transfer attempts when rescuing a dead host's last checkpoint *)
-
-exception Stalled
-(* a transfer round ended with the destination still not READY *)
 
 (* --- layer 1: the mechanism fleet ---
 
@@ -74,10 +68,9 @@ type failover_record = {
 type fleet = {
   f_seed : int;
   engine : Inject.t;
-  ch : Cloak.Migrate.channel;
+  link : Migrate.link;  (* the failover wire, shared by every session *)
   bal : Cloak.Balancer.t;
   hosts : host array;
-  jitter : Oscrypto.Prng.t;
   tel : Telemetry.t array;  (* per-host registries, merged after the run *)
   mutable next_tid : int;
   seqs : (int, int ref) Hashtbl.t;  (* per request: next hop sequence *)
@@ -90,7 +83,6 @@ type fleet = {
   mutable drains : int;      (* committed suspicion-triggered drains *)
   mutable crash_failovers : int;  (* committed post-crash rescues *)
   mutable downtimes : int list;   (* per committed failover, cycles *)
-  mutable install_cycles : int;
 }
 
 let tag_of pid = Cloak.Resource.tag (Cloak.Resource.Anon pid)
@@ -113,97 +105,6 @@ let next_seq fl tid =
   | None ->
       Hashtbl.replace fl.seqs tid (ref 0);
       0
-
-let is_stale = function
-  | Cloak.Violation.Security_fault { kind = Cloak.Violation.Stale_checkpoint; _ } ->
-      true
-  | _ -> false
-
-(* Drain the channel in both directions until neither side progresses. *)
-let pump fl rcv snd =
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    (match Cloak.Migrate.recv fl.ch with
-    | Some wire ->
-        progressed := true;
-        List.iter (Cloak.Migrate.reply fl.ch) (Cloak.Migrate.deliver rcv wire)
-    | None -> ());
-    match Cloak.Migrate.recv_reply fl.ch with
-    | Some wire ->
-        progressed := true;
-        Cloak.Migrate.absorb_ack snd wire
-    | None -> ()
-  done
-
-(* Retransmission rounds under the shared guest retry policy — the same
-   envelope as the point-to-point migration harness. *)
-let transfer fl ~src_vmm snd rcv =
-  let c = Cloak.Vmm.counters src_vmm in
-  let disk_op = (Cost.model (Cloak.Vmm.cost src_vmm)).Cost.disk_op in
-  Retry.with_backoff
-    ~deadline_cycles:(deadline_disk_ops * disk_op)
-    ~jitter:fl.jitter ~limit:retry_limit
-    ~retryable:(function Stalled -> true | _ -> false)
-    ~charge:(fun ~cycles ->
-      c.mig_retries <- c.mig_retries + 1;
-      Cloak.Vmm.charge src_vmm cycles)
-    ~base_cost:disk_op ~exhausted:Retry.Deadline_exceeded
-    (fun () ->
-      if not (Cloak.Migrate.offer_acked snd) then
-        Cloak.Migrate.send fl.ch (Cloak.Migrate.offer_wire snd);
-      List.iter (Cloak.Migrate.send fl.ch) (Cloak.Migrate.chunk_wires snd);
-      pump fl rcv snd;
-      if not (Cloak.Migrate.ready snd) then raise Stalled)
-
-(* Post-fence control frames are liveness-only; bounded retry, swallowed. *)
-let nudge fl ~src_vmm snd rcv ~wire ~done_ =
-  let disk_op = (Cost.model (Cloak.Vmm.cost src_vmm)).Cost.disk_op in
-  try
-    Retry.with_backoff ~jitter:fl.jitter ~limit:3
-      ~retryable:(function Stalled -> true | _ -> false)
-      ~charge:(fun ~cycles -> Cloak.Vmm.charge src_vmm cycles)
-      ~base_cost:disk_op ~exhausted:Stalled
-      (fun () ->
-        Cloak.Migrate.send fl.ch (wire ());
-        pump fl rcv snd;
-        if not (done_ ()) then raise Stalled)
-  with Stalled -> ()
-
-(* One authenticated transfer attempt src → dst. On READY: fence (retire
-   the source's seal generation — the split-brain point of no return),
-   COMMIT, scrub both session keys, return the destination's verified
-   blob paired with the request trace id the receiver learned from the
-   authenticated frames. On deadline: ABORT, scrub, None — nothing was
-   staled. *)
-let attempt_transfer fl ~src ~dst ~tag ~session ~trace_id blob =
-  let src_vmm = fl.hosts.(src).vmm in
-  let snd = Cloak.Migrate.sender src_vmm ~session ~trace_id blob in
-  let rcv = Cloak.Migrate.receiver fl.hosts.(dst).vmm ~session in
-  let teardown () =
-    Cloak.Migrate.close_sender snd;
-    Cloak.Migrate.close_receiver rcv
-  in
-  match transfer fl ~src_vmm snd rcv with
-  | () ->
-      let gen = Cloak.Vmm.seal_generation src_vmm ~tag in
-      Cloak.Vmm.retire_seal_generation src_vmm ~tag ~gen;
-      nudge fl ~src_vmm snd rcv
-        ~wire:(fun () -> Cloak.Migrate.commit_wire snd)
-        ~done_:(fun () -> Cloak.Migrate.commit_acked snd);
-      let out =
-        Option.map
-          (fun b -> (b, Cloak.Migrate.trace_id rcv))
-          (Cloak.Migrate.blob rcv)
-      in
-      teardown ();
-      out
-  | exception Retry.Deadline_exceeded ->
-      nudge fl ~src_vmm snd rcv
-        ~wire:(fun () -> Cloak.Migrate.abort_wire snd)
-        ~done_:(fun () -> Cloak.Migrate.abort_acked snd);
-      teardown ();
-      None
 
 (* A failover destination must not be running yet (hosts execute
    sequentially, so a later host can still adopt before it spawns), must
@@ -230,6 +131,37 @@ let choose_target fl ~src ~travelling_pid =
       end)
     fl.hosts;
   Option.map fst !best
+
+(* One failover attempt of host [h]'s process onto [dst] through the
+   shared migration-session code — a voluntary drain of a suspect, or
+   the rescue of a dead host's last checkpoint. Committed: the
+   destination's verified blob is queued with the request trace id the
+   receiver learned from the authenticated frames, the hop joins the
+   request's causal trace, and the commit time is returned. Aborted:
+   None — nothing was staled. *)
+let failover fl h ~kind ~dst blob =
+  let hop, letter = match kind with `Drain -> ("drain", 'h') | `Rescue -> ("rescue", 'x') in
+  let t0 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
+  fl.sessions <- fl.sessions + 1;
+  let session = Printf.sprintf "f%d-%c%d-s%d" fl.f_seed letter h.idx fl.sessions in
+  let snd = Cloak.Migrate.sender h.vmm ~session ~trace_id:h.tid blob in
+  let rcv = Cloak.Migrate.receiver fl.hosts.(dst).vmm ~session in
+  let committed = Migrate.attempt fl.link ~src:h.vmm ~tag:(tag_of h.pid) snd rcv in
+  match Cloak.Migrate.blob rcv with
+  | Some dblob when committed ->
+      let t1 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
+      let tel = fl.tel.(h.idx) in
+      Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop ~seq:(next_seq fl h.tid) ~t0 ~t1;
+      Telemetry.incr tel ~host:h.idx ~at:t1 (hop ^ "-commit");
+      let wire_tid = Cloak.Migrate.trace_id rcv in
+      fl.pending.(dst) <- (h.idx, h.pid, dblob, wire_tid) :: fl.pending.(dst);
+      fl.records <-
+        { fo_src = h.idx; fo_dst = dst; fo_tid = wire_tid; fo_blob = dblob } :: fl.records;
+      fl.downtimes <- (t1 - t0) :: fl.downtimes;
+      let c0 = Cloak.Vmm.counters (coordinator fl) in
+      c0.fleet_failovers <- c0.fleet_failovers + 1;
+      Some t1
+  | _ -> None
 
 (* The supervision hook: runs inside the host kernel's checkpoint syscall
    with the process quiesced. Each invocation is one heartbeat interval —
@@ -282,32 +214,18 @@ let rec hook fl h blob =
         let t0 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
         Trace.span_enter h.htrace ~ctx:Trace.Vmm ~site:(tag_of h.pid)
           Trace.Migration;
-        fl.sessions <- fl.sessions + 1;
-        let session = Printf.sprintf "f%d-h%d-s%d" fl.f_seed h.idx fl.sessions in
-        let outcome =
-          attempt_transfer fl ~src:h.idx ~dst ~tag:(tag_of h.pid) ~session
-            ~trace_id:h.tid blob
-        in
-        let dt = Cost.cycles (Cloak.Vmm.cost h.vmm) - t0 in
+        let outcome = failover fl h ~kind:`Drain ~dst blob in
         let ch = Cloak.Vmm.counters h.vmm in
-        ch.mig_downtime_cycles <- ch.mig_downtime_cycles + dt;
+        ch.mig_downtime_cycles <-
+          ch.mig_downtime_cycles + Cost.cycles (Cloak.Vmm.cost h.vmm) - t0;
         Trace.span_exit h.htrace ~ctx:Trace.Vmm ~site:(tag_of h.pid)
           Trace.Migration;
         (match outcome with
-        | Some (dblob, wire_tid) ->
+        | Some t1 ->
             h.drained <- true;
-            h.drain_at <- Cost.cycles (Cloak.Vmm.cost h.vmm);
-            Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"drain"
-              ~seq:(next_seq fl h.tid) ~t0 ~t1:h.drain_at;
-            Telemetry.incr tel ~host:h.idx ~at:h.drain_at "drain-commit";
-            fl.pending.(dst) <- (h.idx, h.pid, dblob, wire_tid) :: fl.pending.(dst);
-            fl.records <-
-              { fo_src = h.idx; fo_dst = dst; fo_tid = wire_tid; fo_blob = dblob }
-              :: fl.records;
+            h.drain_at <- t1;
             fl.drains <- fl.drains + 1;
-            fl.downtimes <- dt :: fl.downtimes;
-            c0.fleet_failovers <- c0.fleet_failovers + 1;
-            Cloak.Balancer.mark_drained fl.bal h.idx ~now:h.drain_at;
+            Cloak.Balancer.mark_drained fl.bal h.idx ~now:t1;
             Kernel.Mig_commit
         | None ->
             (* aborted: resume at the source, nothing was staled *)
@@ -325,7 +243,6 @@ let rec hook fl h blob =
    degraded, never duplicated. Processes the host had itself adopted die
    with it. *)
 let crash_failover fl h =
-  let c0 = Cloak.Vmm.counters (coordinator fl) in
   h.died <- true;
   h.death_at <- Cost.cycles (Cloak.Vmm.cost h.vmm);
   Cloak.Balancer.mark_dead fl.bal h.idx ~now:h.death_at;
@@ -343,34 +260,11 @@ let crash_failover fl h =
           incr attempts;
           match choose_target fl ~src:h.idx ~travelling_pid:h.pid with
           | None -> attempts := max_failover_attempts
-          | Some dst -> (
-              fl.sessions <- fl.sessions + 1;
-              let session =
-                Printf.sprintf "f%d-x%d-s%d" fl.f_seed h.idx fl.sessions
-              in
-              let t0 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-              match
-                attempt_transfer fl ~src:h.idx ~dst ~tag:(tag_of h.pid)
-                  ~session ~trace_id:h.tid blob
-              with
-              | Some (dblob, wire_tid) ->
-                  committed := true;
-                  let t1 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-                  let dt = t1 - t0 in
-                  Telemetry.span fl.tel.(h.idx) ~host:h.idx ~tid:h.tid
-                    ~hop:"rescue" ~seq:(next_seq fl h.tid) ~t0 ~t1;
-                  Telemetry.incr fl.tel.(h.idx) ~host:h.idx ~at:t1
-                    "rescue-commit";
-                  fl.pending.(dst) <-
-                    (h.idx, h.pid, dblob, wire_tid) :: fl.pending.(dst);
-                  fl.records <-
-                    { fo_src = h.idx; fo_dst = dst; fo_tid = wire_tid;
-                      fo_blob = dblob }
-                    :: fl.records;
-                  fl.crash_failovers <- fl.crash_failovers + 1;
-                  fl.downtimes <- dt :: fl.downtimes;
-                  c0.fleet_failovers <- c0.fleet_failovers + 1
-              | None -> ())
+          | Some dst ->
+              if failover fl h ~kind:`Rescue ~dst blob <> None then begin
+                committed := true;
+                fl.crash_failovers <- fl.crash_failovers + 1
+              end
         done;
         if not !committed then fl.lost <- fl.lost + 1
 
@@ -381,7 +275,6 @@ let adopt_pending fl h errors =
       match Kernel.adopt_migrated h.k ~policy ~prog:service blob with
       | p ->
           let t1 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-          fl.install_cycles <- fl.install_cycles + (t1 - t0);
           (* the adopt hop continues the request's trace under the id
              carried (MAC-covered) in the migration frames, not a local
              guess — this is what stitches the two hosts together *)
@@ -642,7 +535,6 @@ type run = {
   r_hb_timeouts : int;
   r_double_resumes : int;
   r_downtimes : int list;
-  r_install_cycles : int;
   r_cycles : int;  (* total charged model cycles across all hosts *)
   r_sup : sim;
   r_unsup : sim;
@@ -660,7 +552,7 @@ type run = {
 let run_once ?(telemetry = true) ~plan ~seed () =
   let engine = Inject.create plan in
   (* every host shares the fleet master secret: same vconfig seed *)
-  let vconfig = Sweep.vconfig ~salt:0xF1EE7 ~seed in
+  let vconfig = Scenario.vconfig ~salt:0xF1EE7 ~seed in
   let mk idx =
     let htrace = Trace.ring () in
     let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace:htrace () in
@@ -676,10 +568,11 @@ let run_once ?(telemetry = true) ~plan ~seed () =
     {
       f_seed = seed;
       engine;
-      ch = Cloak.Migrate.channel ~engine ();
+      link =
+        { Migrate.ch = Cloak.Migrate.channel ~engine ();
+          jitter = Oscrypto.Prng.create ~seed:(seed lxor 0xF7EE) };
       bal = Cloak.Balancer.create ~hosts:n_hosts ();
       hosts;
-      jitter = Oscrypto.Prng.create ~seed:(seed lxor 0xF7EE);
       tel =
         Array.init n_hosts (fun _ ->
             if telemetry then Telemetry.create () else Telemetry.null);
@@ -692,7 +585,6 @@ let run_once ?(telemetry = true) ~plan ~seed () =
       drains = 0;
       crash_failovers = 0;
       downtimes = [];
-      install_cycles = 0;
     }
   in
   let errors = ref [] in
@@ -771,15 +663,15 @@ let run_once ?(telemetry = true) ~plan ~seed () =
       (fun r ->
         (match Cloak.Seal.unseal fl.hosts.(r.fo_src).vmm r.fo_blob with
         | _ -> incr double_resumes
-        | exception e when is_stale e -> ());
+        | exception e when Cloak.Violation.is_stale e -> ());
         match
           Kernel.adopt_migrated fl.hosts.(r.fo_dst).k ~policy ~prog:service
             r.fo_blob
         with
         | _ -> incr double_resumes
-        | exception e when is_stale e -> ())
+        | exception e when Cloak.Violation.is_stale e -> ())
       fl.records;
-  let wire = Cloak.Migrate.wire_log fl.ch in
+  let wire = Cloak.Migrate.wire_log fl.link.ch in
   let leaks =
     List.concat_map
       (fun h ->
@@ -787,12 +679,7 @@ let run_once ?(telemetry = true) ~plan ~seed () =
           (fun s -> Printf.sprintf "host %d %s" h.idx s)
           (Soak.scan_leaks h.vmm h.k))
       (Array.to_list hosts)
-    @ List.concat
-        (List.mapi
-           (fun i w ->
-             if Soak.contains_canary w then [ Printf.sprintf "wire frame %d" i ]
-             else [])
-           wire)
+    @ Soak.wire_leaks wire
   in
   let trace_failures =
     List.concat_map
@@ -879,7 +766,6 @@ let run_once ?(telemetry = true) ~plan ~seed () =
     r_hb_timeouts = c0.fleet_hb_timeouts;
     r_double_resumes = !double_resumes;
     r_downtimes = List.rev fl.downtimes;
-    r_install_cycles = fl.install_cycles;
     r_cycles =
       Array.fold_left
         (fun a h -> a + Cost.cycles (Cloak.Vmm.cost h.vmm))
@@ -969,7 +855,7 @@ let blackhole_plan ~seed =
       };
     ]
 
-(* --- seed runner and invariants --- *)
+(* --- the scenario: fault-free, hostile (replayed), blackhole --- *)
 
 type seed_report = {
   seed : int;
@@ -985,12 +871,10 @@ type seed_report = {
   sheds_overload : int;
   sheds_draining : int;
   sheds_no_capacity : int;
-  p50_latency : int;
   p95_latency : int;
   p99_latency : int;
   downtimes : int list;
   double_resumes : int;
-  audit_dropped : int;
   tel_samples : int;
   tel_spans : int;
   stitched_traces : int;  (* hostile run: complete cross-host traces *)
@@ -999,17 +883,26 @@ type seed_report = {
   sup_timeline : (int * int * int * int) list;
       (* hostile supervised, per window: (window, admitted, good, p99) *)
   unsup_timeline : (int * int * int * int) list;
-  failures : string list;
 }
 
-let run_seed ~seed =
-  let fails = ref [] in
-  let fail m = fails := m :: !fails in
-  let ff = run_once ~plan:(Inject.plan ~seed []) ~seed () in
-  let hplan = fleet_plan ~seed in
-  let h1 = run_once ~plan:hplan ~seed () in
-  let h2 = run_once ~plan:hplan ~seed () in
-  let bh = run_once ~plan:(blackhole_plan ~seed) ~seed () in
+let header r =
+  {
+    Scenario.crash = r.r_crash;
+    leaks = r.r_leaks;
+    audit = r.r_audit;
+    audit_dropped = r.r_audit_dropped;
+    trace_failures = r.r_trace_failures;
+  }
+
+let run_seed c =
+  let seed = Scenario.seed c in
+  let fail = Scenario.fail c in
+  let cell ?replay label plan =
+    Scenario.cell c ?replay label ~header (fun () -> run_once ~plan ~seed ())
+  in
+  let ff = cell "fault-free" (Inject.plan ~seed []) in
+  let h1 = cell ~replay:true "hostile" (fleet_plan ~seed) in
+  let bh = cell "blackhole" (blackhole_plan ~seed) in
   (* fault-free: full service, nobody dies, the latency SLO holds *)
   if ff.r_deaths > 0 || ff.r_drains > 0 then fail "fault-free fleet lost a host";
   if ff.r_lost > 0 then fail "fault-free fleet lost a process";
@@ -1018,21 +911,9 @@ let run_seed ~seed =
       (Printf.sprintf
          "fault-free SLO: only %.1f%% of admitted requests within budget"
          (budget_pct ff.r_sup));
-  (* hostile: replay determinism over the shared audit stream *)
-  (match
-     Sweep.determinism_failure ~audit_a:h1.r_audit ~audit_b:h2.r_audit
-       ~dropped:(h1.r_audit_dropped + h2.r_audit_dropped)
-   with
-  | Some what -> fail ("hostile " ^ what)
-  | None -> ());
   if h1.r_deaths < 1 then fail "lethal plan failed to kill any host";
   List.iter
     (fun (name, (r : run)) ->
-      (match r.r_crash with
-      | Some e -> fail (Printf.sprintf "%s: escaped the harness: %s" name e)
-      | None -> ());
-      List.iter (fun l -> fail (name ^ ": canary leaked to " ^ l)) r.r_leaks;
-      List.iter (fun f -> fail (name ^ ": trace: " ^ f)) r.r_trace_failures;
       List.iter (fun f -> fail (name ^ ": " ^ f)) r.r_mech_failures;
       if r.r_double_resumes > 0 then
         fail
@@ -1068,14 +949,15 @@ let run_seed ~seed =
     fail "hostile: a host died but no burn-rate alert fired";
   (* run_once already errors per committed failover whose surviving
      destination lacks a stitched cross-host trace *)
+  let all f = f ff + f h1 + f bh in
   {
     seed;
     ff_budget_pct = budget_pct ff.r_sup;
-    deaths = ff.r_deaths + h1.r_deaths + bh.r_deaths;
-    drains = ff.r_drains + h1.r_drains + bh.r_drains;
-    failovers = ff.r_failovers + h1.r_failovers + bh.r_failovers;
-    lost_procs = ff.r_lost + h1.r_lost + bh.r_lost;
-    hb_timeouts = ff.r_hb_timeouts + h1.r_hb_timeouts + bh.r_hb_timeouts;
+    deaths = all (fun r -> r.r_deaths);
+    drains = all (fun r -> r.r_drains);
+    failovers = all (fun r -> r.r_failovers);
+    lost_procs = all (fun r -> r.r_lost);
+    hb_timeouts = all (fun r -> r.r_hb_timeouts);
     sup_goodput = goodput h1.r_sup;
     unsup_goodput = goodput h1.r_unsup;
     sheds = sheds_total h1.r_sup + sheds_total bh.r_sup;
@@ -1083,15 +965,10 @@ let run_seed ~seed =
     sheds_draining = h1.r_sup.sim_sheds_draining + bh.r_sup.sim_sheds_draining;
     sheds_no_capacity =
       h1.r_sup.sim_sheds_no_capacity + bh.r_sup.sim_sheds_no_capacity;
-    p50_latency = h1.r_sup.sim_p50;
     p95_latency = h1.r_sup.sim_p95;
     p99_latency = h1.r_sup.sim_p99;
     downtimes = ff.r_downtimes @ h1.r_downtimes @ bh.r_downtimes;
-    double_resumes =
-      ff.r_double_resumes + h1.r_double_resumes + bh.r_double_resumes;
-    audit_dropped =
-      max ff.r_audit_dropped
-        (max bh.r_audit_dropped (max h1.r_audit_dropped h2.r_audit_dropped));
+    double_resumes = all (fun r -> r.r_double_resumes);
     tel_samples =
       Telemetry.samples h1.r_tel + h1.r_sup.sim_samples
       + h1.r_unsup.sim_samples;
@@ -1101,87 +978,64 @@ let run_seed ~seed =
     burn_slow_alerts = hostile_slow;
     sup_timeline = h1.r_sup.sim_timeline;
     unsup_timeline = h1.r_unsup.sim_timeline;
-    failures = List.rev !fails;
   }
 
-type verdict = {
-  seeds_run : int;
-  ff_budget_pct : float;  (* worst seed *)
-  total_deaths : int;
-  total_drains : int;
-  total_failovers : int;
-  total_lost : int;
-  total_hb_timeouts : int;
-  total_sheds : int;
-  total_double_resumes : int;
-  sup_goodput : int;
-  unsup_goodput : int;
-  p95_latency : int;       (* worst seed, hostile supervised *)
-  p99_latency : int;       (* worst seed, hostile supervised *)
-  p50_downtime : int;
-  p95_downtime : int;
-  total_tel_samples : int;
-  total_tel_spans : int;
-  total_stitched : int;
-  total_burn_fast : int;
-  total_burn_slow : int;
-  reports : seed_report list;
-  failures : (int * string) list;
-}
+let timeline_json tl =
+  Report.List
+    (List.map
+       (fun (w, adm, good, p99) ->
+         Report.Obj
+           [ ("window", Report.Int w);
+             ("admitted", Report.Int adm);
+             ("good", Report.Int good);
+             ("p99_cycles", Report.Int p99) ])
+       tl)
 
-let run_seeds ?progress ~seeds () =
-  let reports =
-    Sweep.map_seeds ?progress ~run:(fun ~seed -> run_seed ~seed) seeds
-  in
+let aggregate rs =
   let hist = Trace.Hist.create () in
   List.iter
     (fun r -> List.iter (fun d -> if d > 0 then Trace.Hist.add hist d) r.downtimes)
-    reports;
-  let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
-  let worst f init cmp =
-    List.fold_left (fun a r -> if cmp (f r) a then f r else a) init reports
-  in
-  {
-    seeds_run = List.length reports;
-    ff_budget_pct = worst (fun r -> r.ff_budget_pct) 100.0 ( < );
-    total_deaths = sum (fun r -> r.deaths);
-    total_drains = sum (fun r -> r.drains);
-    total_failovers = sum (fun r -> r.failovers);
-    total_lost = sum (fun r -> r.lost_procs);
-    total_hb_timeouts = sum (fun r -> r.hb_timeouts);
-    total_sheds = sum (fun r -> r.sheds);
-    total_double_resumes = sum (fun r -> r.double_resumes);
-    sup_goodput = sum (fun r -> r.sup_goodput);
-    unsup_goodput = sum (fun r -> r.unsup_goodput);
-    p95_latency = worst (fun r -> r.p95_latency) 0 ( > );
-    p99_latency = worst (fun r -> r.p99_latency) 0 ( > );
-    p50_downtime = Trace.Hist.percentile hist 0.5;
-    p95_downtime = Trace.Hist.percentile hist 0.95;
-    total_tel_samples = sum (fun r -> r.tel_samples);
-    total_tel_spans = sum (fun r -> r.tel_spans);
-    total_stitched = sum (fun r -> r.stitched_traces);
-    total_burn_fast = sum (fun r -> r.burn_fast_alerts);
-    total_burn_slow = sum (fun r -> r.burn_slow_alerts);
-    reports;
-    failures =
-      Sweep.collect_failures
-        ~seed_of:(fun r -> r.seed)
-        ~failures_of:(fun r -> r.failures)
-        reports;
-  }
-
-let exit_code v = Sweep.exit_code v.failures
-
-let seeds_from = Sweep.seeds_from
-
-(* --- presentation --- *)
+    rs;
+  let total f = Report.Int (Scenario.sum f rs) in
+  let worst f = Report.Int (List.fold_left (fun a r -> max a (f r)) 0 rs) in
+  ( [ ("hosts", Report.Int n_hosts);
+      ( "ff_budget_pct_worst",
+        Report.Float (List.fold_left (fun a r -> min a r.ff_budget_pct) 100.0 rs) );
+      ("deaths", total (fun r -> r.deaths));
+      ("drains", total (fun r -> r.drains));
+      ("failovers", total (fun r -> r.failovers));
+      ("lost_processes", total (fun r -> r.lost_procs));
+      ("hb_timeouts", total (fun r -> r.hb_timeouts));
+      ("sheds", total (fun r -> r.sheds));
+      ("double_resumes", total (fun r -> r.double_resumes));
+      ("goodput_supervised", total (fun r -> r.sup_goodput));
+      ("goodput_unsupervised", total (fun r -> r.unsup_goodput));
+      ("latency_p95_cycles", worst (fun r -> r.p95_latency));
+      ("latency_p99_cycles", worst (fun r -> r.p99_latency));
+      ("failover_downtime_p50_cycles", Report.Int (Trace.Hist.percentile hist 0.5));
+      ("failover_downtime_p95_cycles", Report.Int (Trace.Hist.percentile hist 0.95));
+      ("telemetry_samples", total (fun r -> r.tel_samples));
+      ("telemetry_spans", total (fun r -> r.tel_spans));
+      ("stitched_traces", total (fun r -> r.stitched_traces));
+      ("burn_alerts_fast", total (fun r -> r.burn_fast_alerts));
+      ("burn_alerts_slow", total (fun r -> r.burn_slow_alerts));
+      ( "timelines",
+        Report.List
+          (List.map
+             (fun r ->
+               Report.Obj
+                 [ ("seed", Report.Int r.seed);
+                   ("supervised", timeline_json r.sup_timeline);
+                   ("unsupervised", timeline_json r.unsup_timeline) ])
+             rs) ) ],
+    [] )
 
 let pp_seed_report ppf (r : seed_report) =
   Format.fprintf ppf
     "seed %d: ff %.1f%% in budget; %d death%s, %d drain%s, %d failover%s, %d \
      lost, %d hb timeouts; goodput sup=%d unsup=%d; %d sheds (%d overload, \
      %d draining, %d no-capacity); latency p95=%d p99=%d; telemetry %d \
-     samples, %d spans, %d stitched, alerts fast=%d slow=%d%s%s"
+     samples, %d spans, %d stitched, alerts fast=%d slow=%d@."
     r.seed r.ff_budget_pct r.deaths
     (if r.deaths = 1 then "" else "s")
     r.drains
@@ -1192,19 +1046,17 @@ let pp_seed_report ppf (r : seed_report) =
     r.sheds_overload r.sheds_draining r.sheds_no_capacity r.p95_latency
     r.p99_latency r.tel_samples r.tel_spans r.stitched_traces
     r.burn_fast_alerts r.burn_slow_alerts
-    (if r.failures = [] then "" else " INVARIANTS BROKEN: ")
-    (String.concat "; " r.failures)
 
-let summary_line (v : verdict) =
-  Printf.sprintf
-    "fleet: %d seeds, ff %.1f%% in budget (worst), %d deaths, %d drains, %d \
-     failovers (%d lost, 0-double-resume=%b), goodput sup=%d unsup=%d, %d \
-     sheds, %d hb timeouts, failover downtime p50=%d p95=%d cycles, %d \
-     stitched traces, burn alerts fast=%d slow=%d, %d invariant failures"
-    v.seeds_run v.ff_budget_pct v.total_deaths v.total_drains v.total_failovers
-    v.total_lost
-    (v.total_double_resumes = 0)
-    v.sup_goodput v.unsup_goodput v.total_sheds v.total_hb_timeouts
-    v.p50_downtime v.p95_downtime v.total_stitched v.total_burn_fast
-    v.total_burn_slow
-    (List.length v.failures)
+let scenario =
+  {
+    Scenario.name = "fleet";
+    bench = "fleet";
+    doc = "fleet supervisor: failover + graceful degradation under open-loop load";
+    default_seeds = 20;
+    ok =
+      "all invariants held: SLO fault-free, supervised goodput beats unsupervised, \
+       exactly-once failover, typed sheds, no leaks, deterministic audit";
+    run_seed;
+    pp = pp_seed_report;
+    aggregate;
+  }

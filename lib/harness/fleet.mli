@@ -35,22 +35,11 @@ val antagonist : Guest.Abi.program
 val kconfig : Guest.Kernel.config
 val policy : Guest.Kernel.restart_policy
 
-val max_drain_attempts : int
-(** Aborted drain attempts per suspect host before the supervisor stops
-    trying. *)
-
-val max_failover_attempts : int
-(** Transfer attempts when rescuing a dead host's last checkpoint. *)
-
 (** {1 Plans} *)
 
 val fleet_plan : seed:int -> Inject.plan
 (** Lossy heartbeat bursts, one guaranteed mid-run power cut, bounded
     channel mayhem on the failover path. *)
-
-val blackhole_plan : seed:int -> Inject.plan
-(** An early power cut with every failover frame eaten: rescue is
-    impossible, the fleet must degrade without duplicating anyone. *)
 
 (** {1 The open-loop overlay} *)
 
@@ -90,7 +79,6 @@ type run = {
   r_hb_timeouts : int;
   r_double_resumes : int;
   r_downtimes : int list;
-  r_install_cycles : int;
   r_cycles : int;  (** total model cycles across every host VMM *)
   r_sup : sim;
   r_unsup : sim;
@@ -117,7 +105,7 @@ val run_once : ?telemetry:bool -> plan:Inject.plan -> seed:int -> unit -> run
     are identical either way. That equality is the zero-overhead proof
     {!Harness.Telemetry} checks. *)
 
-(** {1 Seed sweep} *)
+(** {1 The sweep} *)
 
 type seed_report = {
   seed : int;
@@ -133,12 +121,10 @@ type seed_report = {
   sheds_overload : int;
   sheds_draining : int;
   sheds_no_capacity : int;
-  p50_latency : int;
   p95_latency : int;
   p99_latency : int;
   downtimes : int list;
   double_resumes : int;
-  audit_dropped : int;
   tel_samples : int;  (** metric samples, hostile run (fleet + overlays) *)
   tel_spans : int;  (** causal spans recorded by the hostile fleet run *)
   stitched_traces : int;  (** cross-host causal traces, hostile run *)
@@ -147,48 +133,13 @@ type seed_report = {
   sup_timeline : (int * int * int * int) list;
       (** hostile supervised overlay: [(window, admitted, good, p99)] *)
   unsup_timeline : (int * int * int * int) list;
-  failures : string list;
 }
 
-val run_seed : seed:int -> seed_report
-(** Four full fleet runs: fault-free (the latency SLO must hold for
-    ≥99% of admitted requests), the hostile plan twice (audit-stream
-    determinism), and the blackhole plan (graceful degradation). Every
+val scenario : seed_report Scenario.t
+(** Per seed: a fault-free cell (the latency SLO must hold for ≥99% of
+    admitted requests), the hostile plan replayed for audit-stream
+    determinism, and the blackhole plan (graceful degradation). Every
     committed failover is probed for double resume at both ends. *)
 
-type verdict = {
-  seeds_run : int;
-  ff_budget_pct : float;  (** worst seed *)
-  total_deaths : int;
-  total_drains : int;
-  total_failovers : int;
-  total_lost : int;
-  total_hb_timeouts : int;
-  total_sheds : int;
-  total_double_resumes : int;
-  sup_goodput : int;
-  unsup_goodput : int;
-  p95_latency : int;  (** worst seed, hostile supervised *)
-  p99_latency : int;  (** worst seed, hostile supervised *)
-  p50_downtime : int;
-  p95_downtime : int;
-  total_tel_samples : int;
-  total_tel_spans : int;
-  total_stitched : int;
-  total_burn_fast : int;
-  total_burn_slow : int;
-  reports : seed_report list;
-  failures : (int * string) list;
-}
-
-val run_seeds :
-  ?progress:(seed_report -> unit) -> seeds:int list -> unit -> verdict
-
-val exit_code : verdict -> int
-(** Process exit status for the CLI: 0 iff no invariant failed. *)
-
-val seeds_from : base:int -> count:int -> int list
-
-val pp_seed_report : Format.formatter -> seed_report -> unit
-
-val summary_line : verdict -> string
+val timeline_json : (int * int * int * int) list -> Report.t
+(** A per-window timeline as BENCH JSON. *)

@@ -1,4 +1,4 @@
-module Sweep = Sweep
+module Scenario = Scenario
 module Chaos = Chaos
 module Crash = Crash
 module Soak = Soak
@@ -7,6 +7,11 @@ module Balancer = Cloak.Balancer
 module Fleet = Fleet
 module Observe = Observe
 module Adversary = Adversary
+
+let scenarios =
+  Scenario.
+    [ Any Chaos.scenario; Any Crash.scenario; Any Soak.scenario;
+      Any Migrate.scenario; Any Fleet.scenario; Any Adversary.scenario ]
 
 open Machine
 open Guest

@@ -2,27 +2,26 @@
     CLI: builds a fresh VMM + kernel stack, runs a scenario, and reports
     deterministic cycle counts and event counters. *)
 
-module Sweep = Sweep
-(** Re-export: the shared seed-sweep scaffolding every antagonist harness
-    is built on (canary scans, per-seed configs, determinism check). *)
+module Scenario = Scenario
+(** Re-export: the one seed-sweep runner every antagonist harness is
+    built on (cells, the uniform checks, the replay rule, aggregates). *)
 
 module Chaos = Chaos
 (** Re-export: the seeded chaos harness (randomized fault plans over a
-    mixed cloaked/uncloaked workload; see {!Chaos.run_seeds}). *)
+    mixed cloaked/uncloaked workload). *)
 
 module Crash = Crash
 (** Re-export: the crash-point matrix (power cuts at every durable-write
-    site, followed by recovery replay; see {!Crash.run_matrix}). *)
+    site, followed by recovery replay). *)
 
 module Soak = Soak
 (** Re-export: the availability soak (supervised restart from sealed
-    checkpoints under sustained lethal fault plans; see
-    {!Soak.run_seeds}). *)
+    checkpoints under sustained lethal fault plans). *)
 
 module Migrate = Migrate
 (** Re-export: live migration of a cloaked process over a hostile, lossy
-    channel, with a crash matrix on both sides (see
-    {!Migrate.run_seeds}). *)
+    channel, with a crash matrix on the channel sites, and the
+    migration-session code the fleet shares. *)
 
 module Balancer = Cloak.Balancer
 (** Re-export: the fleet supervision policy layer (suspicion scoring,
@@ -30,8 +29,7 @@ module Balancer = Cloak.Balancer
 
 module Fleet = Fleet
 (** Re-export: the multi-VMM fleet under open-loop load — failure
-    detection, migration-based failover, graceful degradation (see
-    {!Fleet.run_seeds}). *)
+    detection, migration-based failover, graceful degradation. *)
 
 module Observe = Observe
 (** Re-export: the observability harness — the telemetry plane's
@@ -40,8 +38,11 @@ module Observe = Observe
 
 module Adversary = Adversary
 (** Re-export: the adversarial-OS sweep (every workload under the
-    malicious-kernel personality, per attack class; see
-    {!Adversary.run_seeds}). *)
+    malicious-kernel personality, per attack class). *)
+
+val scenarios : Scenario.any list
+(** The six seeded sweeps, in CLI order: chaos, crash-matrix, soak,
+    migrate, fleet, adversary. *)
 
 type result = {
   cycles : int;                 (** model cycles consumed by the scenario *)

@@ -15,50 +15,7 @@ open Guest
    the destination from where the source stopped. *)
 
 let rounds = 16
-let unit_cycles = 20_000
-let counter_off = 0
-let canary_off = 64
-
-let service (env : Abi.env) =
-  let u = Uapi.of_env env in
-  let restored = Uapi.restored u in
-  let state_vpn =
-    if restored then Kernel.mmap_base_vpn
-    else Uapi.mmap u ~pages:1 ~cloaked:true ()
-  in
-  let sh = Oshim.Shim.install u in
-  let base = Addr.vaddr_of_vpn state_vpn in
-  let read_counter () =
-    Int32.to_int (Bytes.get_int32_le (Uapi.load u ~vaddr:(base + counter_off) ~len:4) 0)
-  in
-  let write_counter n =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 (Int32.of_int n);
-    Uapi.store u ~vaddr:(base + counter_off) b
-  in
-  if not restored then begin
-    write_counter 0;
-    Uapi.store u ~vaddr:(base + canary_off) (Bytes.of_string Soak.canary)
-  end;
-  let scratch = Uapi.malloc u 64 in
-  let marker = Uapi.malloc u 8 in
-  let start = read_counter () in
-  for unit = start to rounds - 1 do
-    Uapi.compute u ~cycles:unit_cycles;
-    Uapi.store u ~vaddr:scratch
-      (Bytes.of_string (Printf.sprintf "%s:%04d" Soak.canary unit));
-    write_counter (unit + 1);
-    (try
-       let fd = Uapi.openf u "/progress" [ Abi.O_CREAT; Abi.O_RDWR ] in
-       ignore (Uapi.lseek u ~fd ~pos:unit ~whence:Abi.Seek_set);
-       Uapi.store_byte u ~vaddr:marker (unit land 0xff);
-       ignore (Uapi.write u ~fd ~vaddr:marker ~len:1);
-       Uapi.close u fd
-     with Errno.Error _ -> ());
-    (* quiesce point: checkpoint — and, when armed, the drain hook *)
-    (try ignore (Oshim.Shim.checkpoint sh) with Errno.Error _ -> ())
-  done;
-  Uapi.exit u 0
+let service = Soak.restartable ~rounds ~unit_cycles:20_000 ~vault:false
 
 (* Uncloaked noise on whichever side it runs: disk traffic and memory
    pressure so migration happens under load, not in a quiet lab. *)
@@ -85,27 +42,119 @@ let policy = Soak.policy
 
 (* --- driver tunables --- *)
 
+(* Attempts before the circuit breaker leaves the process at the source
+   for good; the per-attempt retry round limit and deadline; the
+   acceptance ceiling on a committed run's downtime, and on the stall a
+   fully-aborted migration may cost the source ([max_attempts]
+   deadline-bounded drain windows, dominated by chunk-resend MACs). *)
 let max_attempts = 3
 let retry_limit = 8
 let deadline_disk_ops = 400
 let downtime_bound = 20_000_000
 let abort_downtime_bound = 64_000_000
 
+(* --- one migration session (shared with the fleet) --- *)
+
+type link = { ch : Cloak.Migrate.channel; jitter : Oscrypto.Prng.t }
+
 exception Stalled
 (* a transfer round ended with the destination still not READY *)
+
+(* Drain the channel in both directions until neither side makes
+   progress (undelivered frames may still be delayed in flight). *)
+let pump link rcv snd =
+  let progressed = ref true in
+  while !progressed do
+    progressed := false;
+    (match Cloak.Migrate.recv link.ch with
+    | Some wire ->
+        progressed := true;
+        List.iter (Cloak.Migrate.reply link.ch) (Cloak.Migrate.deliver rcv wire)
+    | None -> ());
+    match Cloak.Migrate.recv_reply link.ch with
+    | Some wire ->
+        progressed := true;
+        Cloak.Migrate.absorb_ack snd wire
+    | None -> ()
+  done
+
+(* Retransmission rounds under the shared guest retry policy: each round
+   re-offers if unacked, resends every unacked chunk and pumps. The
+   deadline is the end-to-end migration timeout — jittered exponential
+   backoff between rounds, [Retry.Deadline_exceeded] either on the cycle
+   budget or the round limit. *)
+let transfer link ~src snd rcv =
+  let c = Cloak.Vmm.counters src in
+  let disk_op = (Cost.model (Cloak.Vmm.cost src)).Cost.disk_op in
+  Retry.with_backoff
+    ~deadline_cycles:(deadline_disk_ops * disk_op)
+    ~jitter:link.jitter ~limit:retry_limit
+    ~retryable:(function Stalled -> true | _ -> false)
+    ~charge:(fun ~cycles ->
+      c.mig_retries <- c.mig_retries + 1;
+      Cloak.Vmm.charge src cycles)
+    ~base_cost:disk_op ~exhausted:Retry.Deadline_exceeded
+    (fun () ->
+      if not (Cloak.Migrate.offer_acked snd) then
+        Cloak.Migrate.send link.ch (Cloak.Migrate.offer_wire snd);
+      List.iter (Cloak.Migrate.send link.ch) (Cloak.Migrate.chunk_wires snd);
+      pump link rcv snd;
+      if not (Cloak.Migrate.ready snd) then raise Stalled)
+
+(* Post-fence control frames are liveness-only: the destination already
+   holds the verified blob, so losing the COMMIT (or an ABORT's ack)
+   forever must not wedge the source. Bounded retry, exhaustion
+   swallowed. *)
+let nudge link ~src snd rcv ~wire ~done_ =
+  let disk_op = (Cost.model (Cloak.Vmm.cost src)).Cost.disk_op in
+  try
+    Retry.with_backoff ~jitter:link.jitter ~limit:3
+      ~retryable:(function Stalled -> true | _ -> false)
+      ~charge:(fun ~cycles -> Cloak.Vmm.charge src cycles)
+      ~base_cost:disk_op ~exhausted:Stalled
+      (fun () ->
+        Cloak.Migrate.send link.ch (wire ());
+        pump link rcv snd;
+        if not (done_ ()) then raise Stalled)
+  with Stalled -> ()
+
+(* One session. On READY: fence (retire the source's seal generation —
+   the split-brain point of no return, journal-anchored), then COMMIT. On
+   deadline: ABORT — nothing was staled. Either way the session is over
+   once the final nudge lands: scrub both endpoints' copies of the
+   session key and drop them, so the flight recorder's scrub-before-free
+   pass covers the key material. *)
+let attempt link ~src ~tag snd rcv =
+  let committed =
+    match transfer link ~src snd rcv with
+    | () ->
+        Cloak.Vmm.retire_seal_generation src ~tag
+          ~gen:(Cloak.Vmm.seal_generation src ~tag);
+        nudge link ~src snd rcv
+          ~wire:(fun () -> Cloak.Migrate.commit_wire snd)
+          ~done_:(fun () -> Cloak.Migrate.commit_acked snd);
+        true
+    | exception Retry.Deadline_exceeded ->
+        nudge link ~src snd rcv
+          ~wire:(fun () -> Cloak.Migrate.abort_wire snd)
+          ~done_:(fun () -> Cloak.Migrate.abort_acked snd);
+        false
+  in
+  Cloak.Migrate.close_sender snd;
+  Cloak.Migrate.close_receiver rcv;
+  committed
 
 (* --- the two stacks and the wire between them --- *)
 
 type stack = {
   engine : Inject.t;
-  ch : Cloak.Migrate.channel;
+  link : link;
   src_trace : Trace.t;
   dst_trace : Trace.t;
   src_vmm : Cloak.Vmm.t;
   dst_vmm : Cloak.Vmm.t;
   src_k : Kernel.t;
   dst_k : Kernel.t;
-  jitter : Oscrypto.Prng.t;
   seed : int;
   pid : int;
   mutable attempts : int;
@@ -120,70 +169,10 @@ type stack = {
 
 let tag_of st = Cloak.Resource.tag (Cloak.Resource.Anon st.pid)
 
-(* Drain the channel in both directions until neither side makes
-   progress (undelivered frames may still be delayed in flight). *)
-let pump st rcv snd =
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    (match Cloak.Migrate.recv st.ch with
-    | Some wire ->
-        progressed := true;
-        List.iter (Cloak.Migrate.reply st.ch) (Cloak.Migrate.deliver rcv wire)
-    | None -> ());
-    match Cloak.Migrate.recv_reply st.ch with
-    | Some wire ->
-        progressed := true;
-        Cloak.Migrate.absorb_ack snd wire
-    | None -> ()
-  done
-
-(* Retransmission rounds under the shared guest retry policy: each round
-   re-offers if unacked, resends every unacked chunk and pumps. The
-   deadline is the end-to-end migration timeout — jittered exponential
-   backoff between rounds, [Retry.Deadline_exceeded] either on the cycle
-   budget or the round limit. *)
-let transfer_rounds st snd rcv =
-  let c = Cloak.Vmm.counters st.src_vmm in
-  let disk_op = (Cost.model (Cloak.Vmm.cost st.src_vmm)).Cost.disk_op in
-  Retry.with_backoff
-    ~deadline_cycles:(deadline_disk_ops * disk_op)
-    ~jitter:st.jitter ~limit:retry_limit
-    ~retryable:(function Stalled -> true | _ -> false)
-    ~charge:(fun ~cycles ->
-      c.mig_retries <- c.mig_retries + 1;
-      Cloak.Vmm.charge st.src_vmm cycles)
-    ~base_cost:disk_op ~exhausted:Retry.Deadline_exceeded
-    (fun () ->
-      if not (Cloak.Migrate.offer_acked snd) then
-        Cloak.Migrate.send st.ch (Cloak.Migrate.offer_wire snd);
-      List.iter (Cloak.Migrate.send st.ch) (Cloak.Migrate.chunk_wires snd);
-      pump st rcv snd;
-      if not (Cloak.Migrate.ready snd) then raise Stalled)
-
-(* Post-fence control frames are liveness-only: the destination already
-   holds the verified blob, so losing the COMMIT (or an ABORT's ack)
-   forever must not wedge the source. Bounded retry, exhaustion
-   swallowed. *)
-let nudge st snd rcv ~wire ~done_ =
-  let disk_op = (Cost.model (Cloak.Vmm.cost st.src_vmm)).Cost.disk_op in
-  try
-    Retry.with_backoff ~jitter:st.jitter ~limit:3
-      ~retryable:(function Stalled -> true | _ -> false)
-      ~charge:(fun ~cycles -> Cloak.Vmm.charge st.src_vmm cycles)
-      ~base_cost:disk_op ~exhausted:Stalled
-      (fun () ->
-        Cloak.Migrate.send st.ch (wire ());
-        pump st rcv snd;
-        if not (done_ ()) then raise Stalled)
-  with Stalled -> ()
-
 (* The drain handler: runs inside the source kernel's checkpoint syscall
-   with the process stopped. Commit path: transfer → fence (the point of
-   no return: retire the source's seal generation, journal-anchored) →
-   COMMIT → Mig_commit. Abort path: ABORT the session, re-arm for the
-   next quiesce point until the attempt budget breaks the circuit, and
-   resume at the source — nothing was staled. *)
+   with the process stopped. A committed session retires the source
+   (Mig_commit); an aborted one re-arms for the next quiesce point until
+   the attempt budget breaks the circuit, and resumes at the source. *)
 let rec handler st blob =
   st.attempts <- st.attempts + 1;
   let t0 = Cost.cycles (Cloak.Vmm.cost st.src_vmm) in
@@ -194,43 +183,27 @@ let rec handler st blob =
   let snd = Cloak.Migrate.sender st.src_vmm ~session:st.session blob in
   let rcv = Cloak.Migrate.receiver st.dst_vmm ~session:st.session in
   st.receivers <- rcv :: st.receivers;
-  let finish decision =
-    let dt = Cost.cycles (Cloak.Vmm.cost st.src_vmm) - t0 in
-    st.downtime <- st.downtime + dt;
-    let c = Cloak.Vmm.counters st.src_vmm in
-    c.mig_downtime_cycles <- c.mig_downtime_cycles + dt;
-    Trace.span_exit st.src_trace ~ctx:Trace.Vmm ~site:(tag_of st) Trace.Migration;
-    decision
-  in
-  (* Either way the session is over once the final nudge lands: scrub
-     both endpoints' copies of the session key and drop them, so the
-     flight recorder's scrub-before-free pass covers the key material. *)
-  let teardown () =
-    Cloak.Migrate.close_sender snd;
-    Cloak.Migrate.close_receiver rcv
-  in
-  match transfer_rounds st snd rcv with
-  | () ->
-      Cloak.Vmm.retire_seal_generation st.src_vmm ~tag:(tag_of st) ~gen:st.gen;
+  let decision =
+    if attempt st.link ~src:st.src_vmm ~tag:(tag_of st) snd rcv then begin
       st.committed <- true;
-      nudge st snd rcv
-        ~wire:(fun () -> Cloak.Migrate.commit_wire snd)
-        ~done_:(fun () -> Cloak.Migrate.commit_acked snd);
-      teardown ();
-      finish Kernel.Mig_commit
-  | exception Retry.Deadline_exceeded ->
-      nudge st snd rcv
-        ~wire:(fun () -> Cloak.Migrate.abort_wire snd)
-        ~done_:(fun () -> Cloak.Migrate.abort_acked snd);
-      teardown ();
+      Kernel.Mig_commit
+    end
+    else begin
       if st.attempts >= max_attempts then st.breaker <- true
       else Kernel.request_migration st.src_k ~pid:st.pid (handler st);
-      finish Kernel.Mig_abort
+      Kernel.Mig_abort
+    end
+  in
+  let dt = Cost.cycles (Cloak.Vmm.cost st.src_vmm) - t0 in
+  st.downtime <- st.downtime + dt;
+  let c = Cloak.Vmm.counters st.src_vmm in
+  c.mig_downtime_cycles <- c.mig_downtime_cycles + dt;
+  Trace.span_exit st.src_trace ~ctx:Trace.Vmm ~site:(tag_of st) Trace.Migration;
+  decision
 
 (* --- one migration scenario --- *)
 
 type run = {
-  seed : int;
   committed : bool;
   attempts : int;
   breaker : bool;
@@ -240,15 +213,11 @@ type run = {
   src_status : int option;
   dst_status : int option;
   wire_frames : int;
-  wire_bytes : int;
   retries : int;
   mac_failures : int;
-  leaks : string list;
-  audit : string list;
-  audit_dropped : int;
-  crash : string option;
+  hdr : Scenario.header;
+  powered_off : bool;  (* a planned Crash_point cut the source *)
   sup : Kernel.supervision_stats option;
-  trace_failures : string list;
   probe_failures : string list;
   st : stack;  (* kept for crash-matrix post-mortems *)
 }
@@ -258,15 +227,10 @@ let units_of k =
   | Ok ino -> Fs.size (Kernel.fs k) ino
   | Error _ -> 0
 
-let is_stale = function
-  | Cloak.Violation.Security_fault { kind = Cloak.Violation.Stale_checkpoint; _ } ->
-      true
-  | _ -> false
-
 let run_once ~plan ~seed =
   let engine = Inject.create plan in
   (* both VMMs share the fleet master secret: same seed *)
-  let vconfig = Sweep.vconfig ~salt:0x317E ~seed in
+  let vconfig = Scenario.vconfig ~salt:0x317E ~seed in
   let src_trace = Trace.ring () and dst_trace = Trace.ring () in
   let src_vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace:src_trace () in
   let dst_vmm = Cloak.Vmm.create ~config:vconfig ~trace:dst_trace () in
@@ -277,24 +241,25 @@ let run_once ~plan ~seed =
   ignore (Kernel.spawn src_k antagonist);
   let st =
     {
-      engine; ch; src_trace; dst_trace; src_vmm; dst_vmm; src_k; dst_k;
-      jitter = Oscrypto.Prng.create ~seed:(seed lxor 0x11771);
+      engine; link = { ch; jitter = Oscrypto.Prng.create ~seed:(seed lxor 0x11771) };
+      src_trace; dst_trace; src_vmm; dst_vmm; src_k; dst_k;
       seed; pid; attempts = 0; committed = false; breaker = false;
       downtime = 0; blob = None; gen = 0; session = ""; receivers = [];
     }
   in
   Kernel.request_migration src_k ~pid (handler st);
-  let crash =
-    try
-      Kernel.run src_k;
-      None
-    with e -> Some (Printexc.to_string e)
+  let crash, powered_off =
+    match Kernel.run src_k with
+    | () -> (None, false)
+    | exception Inject.Vmm_crash _ -> (None, true)
+    | exception e -> (Some (Printexc.to_string e), false)
   in
+  let completed = crash = None && (not powered_off) && st.committed in
   let probe_failures = ref [] in
   let probe msg = probe_failures := msg :: !probe_failures in
   (* destination side: adopt the committed blob and run it to completion
      under its own antagonist *)
-  (if crash = None && st.committed then
+  (if completed then
      match st.receivers with
      | [] -> probe "committed with no receiver"
      | rcv :: _ -> (
@@ -322,26 +287,20 @@ let run_once ~plan ~seed =
   let leaks =
     Soak.scan_leaks src_vmm src_k
     @ List.map (fun s -> "dst " ^ s) (Soak.scan_leaks dst_vmm dst_k)
-    @ List.concat
-        (List.mapi
-           (fun i w ->
-             if Soak.contains_canary w then
-               [ Printf.sprintf "wire frame %d" i ]
-             else [])
-           wire)
+    @ Soak.wire_leaks wire
   in
   (* post-run adversarial probes (skipped after a crash; the crash
      matrix does its own post-mortem) *)
-  (if crash = None && st.committed then begin
+  (if completed then begin
      let blob = match st.blob with Some b -> b | None -> Bytes.empty in
      (* double-resume at the source: the fence retired the generation *)
      (match Cloak.Seal.unseal src_vmm blob with
      | _ -> probe "source re-unsealed the migrated blob (fence leaked)"
-     | exception e when is_stale e -> ());
+     | exception e when Cloak.Violation.is_stale e -> ());
      (* double-delivery at the destination: install consumed it *)
      (match Kernel.adopt_migrated dst_k ~policy ~prog:service blob with
      | _ -> probe "destination re-adopted the migrated blob"
-     | exception e when is_stale e -> ());
+     | exception e when Cloak.Violation.is_stale e -> ());
      (* replaying every frame the OS recorded can at best rebuild the
         same bytes — and those are stale everywhere now *)
      let replayed = Cloak.Migrate.receiver dst_vmm ~session:st.session in
@@ -367,7 +326,6 @@ let run_once ~plan ~seed =
      | _ -> ()
    end);
   {
-    seed;
     committed = st.committed;
     attempts = cs.mig_attempts;
     breaker = st.breaker;
@@ -377,17 +335,20 @@ let run_once ~plan ~seed =
     src_status = Kernel.exit_status src_k ~pid;
     dst_status = Kernel.exit_status dst_k ~pid;
     wire_frames = List.length wire;
-    wire_bytes = List.fold_left (fun a w -> a + Bytes.length w) 0 wire;
     retries = cs.mig_retries;
     mac_failures = cs.mig_chunk_mac_failures + cd.mig_chunk_mac_failures;
-    leaks;
-    audit;
-    audit_dropped;
-    crash;
+    hdr =
+      {
+        Scenario.crash;
+        leaks;
+        audit;
+        audit_dropped;
+        trace_failures =
+          Trace.Check.verdict src_trace
+          @ List.map (fun f -> "dst: " ^ f) (Trace.Check.verdict dst_trace);
+      };
+    powered_off;
     sup = Kernel.supervision_stats src_k ~pid;
-    trace_failures =
-      Trace.Check.verdict src_trace
-      @ List.map (fun f -> "dst: " ^ f) (Trace.Check.verdict dst_trace);
     probe_failures = List.rev !probe_failures;
     st;
   }
@@ -435,7 +396,66 @@ let blackhole_plan ~seed =
   Inject.plan ~seed
     [ { Inject.site = Inject.Mig_send; trigger = Inject.always; action = Inject.Drop } ]
 
-(* --- seed runner and invariants --- *)
+(* --- crash matrix over the channel sites ---
+
+   Power the source VMM off at every occurrence of every Mig_* site (as
+   calibrated from the clean run) and prove the split-brain invariants:
+   fenced ⇒ the destination holds the verified blob, adopts it exactly
+   once and finishes; not fenced ⇒ the receiver never committed and the
+   source's latest checkpoint still restores. Either way exactly one
+   incarnation survives. The first [crash_seeds] seeds of a sweep run
+   it. *)
+
+let crash_seeds = 3
+let mig_sites = [ Inject.Mig_send; Inject.Mig_recv; Inject.Mig_ack ]
+
+let crash_points (clean : run) =
+  List.concat_map
+    (fun site ->
+      List.map
+        (fun occurrence -> { Crash.site; occurrence })
+        (Crash.sample ~per_site:4 (Inject.occurrences clean.st.engine site)))
+    mig_sites
+
+(* Post-mortem of one crashed run; true when the source had fenced. *)
+let post_mortem fail (r : run) =
+  let st = r.st in
+  let fenced = Cloak.Vmm.seal_generation st.src_vmm ~tag:(tag_of st) > st.gen in
+  (if not r.powered_off then fail "crash point did not fire"
+   else
+     match st.receivers with
+     | [] -> fail "crashed before any transfer attempt"
+     | rcv :: _ when fenced -> (
+         (* never lose a committed process *)
+         match Cloak.Migrate.blob rcv with
+         | None -> fail "fenced but destination holds no verified blob"
+         | Some blob -> (
+             match Kernel.adopt_migrated st.dst_k ~policy ~prog:service blob with
+             | _pid -> (
+                 (try Kernel.run st.dst_k
+                  with e -> fail ("destination run: " ^ Printexc.to_string e));
+                 if Kernel.exit_status st.dst_k ~pid:st.pid <> Some 0 then
+                   fail "migrated process did not complete at destination";
+                 (* never run two incarnations *)
+                 match Kernel.adopt_migrated st.dst_k ~policy ~prog:service blob with
+                 | _ -> fail "blob adopted twice after a crash"
+                 | exception e when Cloak.Violation.is_stale e -> ())
+             | exception e -> fail ("fenced blob refused: " ^ Printexc.to_string e)))
+     | rcv :: _ -> (
+         (* never accept an unfenced commit *)
+         if Cloak.Migrate.committed rcv then
+           fail "receiver committed before the source fenced";
+         (* the source remains recoverable from its latest checkpoint *)
+         match Kernel.supervision_stats st.src_k ~pid:st.pid with
+         | Some { Kernel.sup_last_checkpoint = Some b; _ } -> (
+             match Cloak.Seal.unseal st.src_vmm b with
+             | _ -> ()
+             | exception e ->
+                 fail ("source checkpoint unrecoverable after crash: " ^ Printexc.to_string e))
+         | _ -> fail "no source checkpoint survived the crash"));
+  fenced
+
+(* --- the scenario: clean, hostile (replayed), blackhole, crash points --- *)
 
 type seed_report = {
   seed : int;
@@ -453,19 +473,19 @@ type seed_report = {
   downtime_cycles : int;
   breaker_trips : int;
   wire_frames : int;
-  wire_bytes : int;
-  audit_dropped : int;
-  failures : string list;
+  crash_points : int;
+  crash_fenced : int;
 }
 
-let run_seed ~seed =
-  let fails = ref [] in
-  let fail msg = fails := msg :: !fails in
-  let clean = run_once ~plan:(Inject.plan ~seed []) ~seed in
-  let hplan = hostile_plan ~seed in
-  let h1 = run_once ~plan:hplan ~seed in
-  let h2 = run_once ~plan:hplan ~seed in
-  let bh = run_once ~plan:(blackhole_plan ~seed) ~seed in
+let run_seed c =
+  let seed = Scenario.seed c in
+  let fail = Scenario.fail c in
+  let cell ?replay label plan =
+    Scenario.cell c ?replay label ~header:(fun r -> r.hdr) (fun () -> run_once ~plan ~seed)
+  in
+  let clean = cell "clean" (Inject.plan ~seed []) in
+  let h1 = cell ~replay:true "hostile" (hostile_plan ~seed) in
+  let bh = cell "blackhole" (blackhole_plan ~seed) in
   if bh.committed then fail "blackhole channel somehow committed";
   if not bh.breaker then fail "blackhole: circuit breaker never tripped";
   if bh.attempts <> max_attempts then
@@ -478,51 +498,54 @@ let run_seed ~seed =
   if clean.committed && clean.attempts <> 1 then
     fail (Printf.sprintf "clean migration took %d attempts" clean.attempts);
   if clean.committed && clean.downtime <= 0 then fail "no downtime recorded";
-  (* both modes: committed ⇒ exactly one incarnation finishes at the
+  (* every mode: committed ⇒ exactly one incarnation finishes at the
      destination and the source is fenced; aborted ⇒ the source finishes
      as if migration were never requested *)
   List.iter
     (fun (name, (r : run)) ->
-      (match r.crash with
-      | Some e -> fail (Printf.sprintf "%s: crashed: %s" name e)
-      | None -> ());
+      let fail m = fail (name ^ ": " ^ m) in
       if r.committed then begin
         if r.src_status <> Some Kernel.migrated_exit_status then
-          fail (name ^ ": committed but source incarnation not retired");
+          fail "committed but source incarnation not retired";
         if r.dst_status <> Some 0 then
-          fail (name ^ ": committed but migrated process failed at destination");
-        if r.src_units + 1 < 1 || r.dst_units < rounds then
-          fail
-            (Printf.sprintf "%s: destination finished %d/%d units" name
-               r.dst_units rounds)
+          fail "committed but migrated process failed at destination";
+        if r.dst_units < rounds then
+          fail (Printf.sprintf "destination finished %d/%d units" r.dst_units rounds)
       end
       else begin
-        if r.breaker && r.attempts <> max_attempts then
-          fail (name ^ ": circuit broke off-budget");
-        if r.src_status <> Some 0 then
-          fail (name ^ ": migration aborted but source did not complete");
-        if r.src_units < rounds then
-          fail (name ^ ": migration aborted and source lost progress")
+        if r.breaker && r.attempts <> max_attempts then fail "circuit broke off-budget";
+        if r.src_status <> Some 0 then fail "migration aborted but source did not complete";
+        if r.src_units < rounds then fail "migration aborted and source lost progress"
       end;
-      let bound =
-        if r.committed then downtime_bound else abort_downtime_bound
-      in
+      let bound = if r.committed then downtime_bound else abort_downtime_bound in
       if r.downtime > bound then
-        fail
-          (Printf.sprintf "%s: downtime %d above bound %d" name r.downtime bound);
-      List.iter (fun l -> fail (name ^ ": canary leaked to " ^ l)) r.leaks;
-      List.iter (fun f -> fail (name ^ ": " ^ f)) r.probe_failures;
-      List.iter (fun f -> fail (name ^ ": trace: " ^ f)) r.trace_failures;
+        fail (Printf.sprintf "downtime %d above bound %d" r.downtime bound);
+      List.iter fail r.probe_failures;
       match r.sup with
-      | None -> fail (name ^ ": supervision stats vanished")
+      | None -> fail "supervision stats vanished"
       | Some s ->
           if s.Kernel.sup_migrations_attempted <> r.attempts then
-            fail (name ^ ": supervision attempt count diverges from driver");
+            fail "supervision attempt count diverges from the drain handler";
           if r.committed && s.Kernel.sup_migrations_completed <> 1 then
-            fail (name ^ ": supervision completed count diverges from driver"))
+            fail "supervision completed count diverges from the drain handler")
     [ ("clean", clean); ("hostile", h1); ("blackhole", bh) ];
-  if h1.audit <> h2.audit && h1.audit_dropped = 0 && h2.audit_dropped = 0 then
-    fail "hostile determinism: audit logs diverge across identical replays";
+  let fenced =
+    if Scenario.index c >= crash_seeds then []
+    else
+      List.map
+        (fun (p : Crash.point) ->
+          let label = "crash " ^ Crash.point_to_string p in
+          let plan =
+            Inject.plan ~seed
+              [ { Inject.site = p.site; trigger = Inject.once ~at:p.occurrence;
+                  action = Inject.Crash_point } ]
+          in
+          post_mortem
+            (fun m -> fail (label ^ ": " ^ m))
+            (cell ~replay:true label plan))
+        (crash_points clean)
+  in
+  let committed (r : run) = Bool.to_int r.committed in
   {
     seed;
     clean_committed = clean.committed;
@@ -532,209 +555,44 @@ let run_seed ~seed =
     hostile_breaker = h1.breaker;
     hostile_downtime = h1.downtime;
     attempts = clean.attempts + h1.attempts + bh.attempts;
-    completed =
-      (if clean.committed then 1 else 0) + (if h1.committed then 1 else 0);
-    aborts =
-      clean.attempts + h1.attempts + bh.attempts
-      - (if clean.committed then 1 else 0)
-      - (if h1.committed then 1 else 0);
+    completed = committed clean + committed h1;
+    aborts = clean.attempts + h1.attempts + bh.attempts - committed clean - committed h1;
     retries = clean.retries + h1.retries + bh.retries;
     mac_failures = clean.mac_failures + h1.mac_failures + bh.mac_failures;
     downtime_cycles = clean.downtime + h1.downtime + bh.downtime;
-    breaker_trips = (if h1.breaker then 1 else 0) + (if bh.breaker then 1 else 0);
+    breaker_trips = Bool.to_int h1.breaker + Bool.to_int bh.breaker;
     wire_frames = clean.wire_frames + h1.wire_frames + bh.wire_frames;
-    wire_bytes = clean.wire_bytes + h1.wire_bytes + bh.wire_bytes;
-    audit_dropped =
-      max clean.audit_dropped
-        (max bh.audit_dropped (max h1.audit_dropped h2.audit_dropped));
-    failures = List.rev !fails;
+    crash_points = List.length fenced;
+    crash_fenced = List.length (List.filter Fun.id fenced);
   }
 
-type verdict = {
-  seeds_run : int;
-  clean_committed : int;
-  hostile_committed : int;
-  hostile_aborted : int;
-  total_attempts : int;
-  total_retries : int;
-  total_mac_failures : int;
-  total_breaker_trips : int;
-  p50_downtime : int;
-  p95_downtime : int;
-  total_wire_frames : int;
-  reports : seed_report list;
-  failures : (int * string) list;
-}
-
-let run_seeds ?progress ~seeds () =
-  let reports = Sweep.map_seeds ?progress ~run:(fun ~seed -> run_seed ~seed) seeds in
+let aggregate rs =
   let hist = Trace.Hist.create () in
   List.iter
     (fun r ->
       if r.clean_downtime > 0 then Trace.Hist.add hist r.clean_downtime;
       if r.hostile_downtime > 0 then Trace.Hist.add hist r.hostile_downtime)
-    reports;
-  let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
-  let count p = List.length (List.filter p reports) in
-  {
-    seeds_run = List.length reports;
-    clean_committed = count (fun r -> r.clean_committed);
-    hostile_committed = count (fun r -> r.hostile_committed);
-    hostile_aborted = count (fun r -> not r.hostile_committed);
-    total_attempts = sum (fun r -> r.attempts);
-    total_retries = sum (fun r -> r.retries);
-    total_mac_failures = sum (fun r -> r.mac_failures);
-    total_breaker_trips = sum (fun r -> r.breaker_trips);
-    p50_downtime = Trace.Hist.percentile hist 0.5;
-    p95_downtime = Trace.Hist.percentile hist 0.95;
-    total_wire_frames = sum (fun r -> r.wire_frames);
-    reports;
-    failures =
-      Sweep.collect_failures
-        ~seed_of:(fun r -> r.seed)
-        ~failures_of:(fun r -> r.failures)
-        reports;
-  }
-
-(* --- crash matrix over the channel sites ---
-
-   Power the source VMM off at every occurrence of every Mig_* site (as
-   calibrated from a clean run) and prove the split-brain invariants:
-   fenced ⇒ the destination holds the verified blob, adopts it exactly
-   once and finishes; not fenced ⇒ the receiver never committed and the
-   source's latest checkpoint still restores. Either way exactly one
-   incarnation survives. *)
-
-let mig_sites = [ Inject.Mig_send; Inject.Mig_recv; Inject.Mig_ack ]
-
-let calibrate ~seed =
-  let r = run_once ~plan:(Inject.plan ~seed []) ~seed in
-  List.map (fun s -> (s, Inject.occurrences r.st.engine s)) mig_sites
-
-let points_of ?(per_site = 4) occs =
-  List.concat_map
-    (fun ((site : Inject.site), n) ->
-      if n <= 0 then []
-      else
-        let k = min per_site n in
-        (* span 1..n inclusive: the last occurrences are the post-fence
-           COMMIT exchange, where the crash must prove "never lose" *)
-        List.init k (fun i ->
-            { Crash.site; occurrence = 1 + (i * (n - 1) / max 1 (k - 1)) }))
-    occs
-
-type crash_outcome = {
-  point : Crash.point;
-  crash_seed : int;
-  crashed : bool;
-  fenced : bool;
-  crash_failures : string list;
-}
-
-let run_crash_point ~seed (p : Crash.point) =
-  let plan () =
-    Inject.plan ~seed
-      [
-        {
-          Inject.site = p.Crash.site;
-          trigger = Inject.once ~at:p.Crash.occurrence;
-          action = Inject.Crash_point;
-        };
-      ]
-  in
-  let r1 = run_once ~plan:(plan ()) ~seed in
-  let r2 = run_once ~plan:(plan ()) ~seed in
-  let fails = ref [] in
-  let fail msg = fails := msg :: !fails in
-  if r1.audit <> r2.audit && r1.audit_dropped = 0 && r2.audit_dropped = 0 then
-    fail "crash replay diverged";
-  let st = r1.st in
-  let crashed = r1.crash <> None in
-  let fenced =
-    Cloak.Vmm.seal_generation st.src_vmm ~tag:(tag_of st) > st.gen
-  in
-  if not crashed then fail "crash point did not fire"
-  else begin
-    match st.receivers with
-    | [] -> fail "crashed before any transfer attempt"
-    | rcv :: _ ->
-        if fenced then begin
-          (* never lose a committed process *)
-          match Cloak.Migrate.blob rcv with
-          | None -> fail "fenced but destination holds no verified blob"
-          | Some blob -> (
-              match Kernel.adopt_migrated st.dst_k ~policy ~prog:service blob with
-              | _pid -> (
-                  (try Kernel.run st.dst_k
-                   with e -> fail ("destination run: " ^ Printexc.to_string e));
-                  if Kernel.exit_status st.dst_k ~pid:st.pid <> Some 0 then
-                    fail "migrated process did not complete at destination";
-                  (* never run two incarnations *)
-                  match Kernel.adopt_migrated st.dst_k ~policy ~prog:service blob with
-                  | _ -> fail "blob adopted twice after a crash"
-                  | exception e when is_stale e -> ())
-              | exception e ->
-                  fail ("fenced blob refused: " ^ Printexc.to_string e))
-        end
-        else begin
-          (* never accept an unfenced commit *)
-          if Cloak.Migrate.committed rcv then
-            fail "receiver committed before the source fenced";
-          (* the source remains recoverable from its latest checkpoint *)
-          match Kernel.supervision_stats st.src_k ~pid:st.pid with
-          | Some { Kernel.sup_last_checkpoint = Some b; _ } -> (
-              match Cloak.Seal.unseal st.src_vmm b with
-              | _ -> ()
-              | exception e ->
-                  fail
-                    ("source checkpoint unrecoverable after crash: "
-                   ^ Printexc.to_string e))
-          | _ -> fail "no source checkpoint survived the crash"
-        end
-  end;
-  { point = p; crash_seed = seed; crashed; fenced; crash_failures = List.rev !fails }
-
-type crash_report = {
-  crash_points : int;
-  crash_fenced : int;
-  matrix_failures : (string * string) list;
-}
-
-let run_crash_matrix ?per_site ~seeds () =
-  let points = ref 0 and fenced = ref 0 and fails = ref [] in
-  List.iter
-    (fun seed ->
-      let occs = calibrate ~seed in
-      List.iter
-        (fun (p : Crash.point) ->
-          incr points;
-          let o = run_crash_point ~seed p in
-          if o.fenced then incr fenced;
-          List.iter
-            (fun f ->
-              fails :=
-                ( Printf.sprintf "seed %d %s#%d" seed
-                    (Inject.site_to_string p.Crash.site)
-                    p.Crash.occurrence,
-                  f )
-                :: !fails)
-            o.crash_failures)
-        (points_of ?per_site occs))
-    seeds;
-  {
-    crash_points = !points;
-    crash_fenced = !fenced;
-    matrix_failures = List.rev !fails;
-  }
-
-let exit_code v c = Sweep.exit_code ~red:(c.matrix_failures <> []) v.failures
-
-(* --- presentation --- *)
+    rs;
+  let total f = Report.Int (Scenario.sum f rs) in
+  ( [ ("rounds_per_run", Report.Int rounds);
+      ("clean_committed", total (fun r -> Bool.to_int r.clean_committed));
+      ("hostile_committed", total (fun r -> Bool.to_int r.hostile_committed));
+      ("hostile_aborted", total (fun r -> Bool.to_int (not r.hostile_committed)));
+      ("attempts", total (fun r -> r.attempts));
+      ("retries", total (fun r -> r.retries));
+      ("chunk_mac_failures", total (fun r -> r.mac_failures));
+      ("breaker_trips", total (fun r -> r.breaker_trips));
+      ("downtime_p50_cycles", Report.Int (Trace.Hist.percentile hist 0.5));
+      ("downtime_p95_cycles", Report.Int (Trace.Hist.percentile hist 0.95));
+      ("wire_frames", total (fun r -> r.wire_frames));
+      ("crash_points", total (fun r -> r.crash_points));
+      ("crash_fenced", total (fun r -> r.crash_fenced)) ],
+    [] )
 
 let pp_seed_report ppf (r : seed_report) =
   Format.fprintf ppf
     "seed %d: clean %s (downtime %d), hostile %s in %d attempt%s (downtime \
-     %d, retries %d, bad MACs %d)%s%s"
+     %d, retries %d, bad MACs %d), %d crash points (%d fenced)@."
     r.seed
     (if r.clean_committed then "migrated" else "FAILED")
     r.clean_downtime
@@ -743,16 +601,18 @@ let pp_seed_report ppf (r : seed_report) =
      else "aborted")
     r.hostile_attempts
     (if r.hostile_attempts = 1 then "" else "s")
-    r.hostile_downtime r.retries r.mac_failures
-    (if r.failures = [] then "" else " INVARIANTS BROKEN: ")
-    (String.concat "; " r.failures)
+    r.hostile_downtime r.retries r.mac_failures r.crash_points r.crash_fenced
 
-let summary_line (v : verdict) =
-  Printf.sprintf
-    "migration: %d/%d clean, %d/%d hostile committed (%d aborted back, %d \
-     circuit breaks), downtime p50=%d p95=%d cycles, %d retries, %d bad \
-     MACs, %d wire frames, %d invariant failures"
-    v.clean_committed v.seeds_run v.hostile_committed v.seeds_run
-    v.hostile_aborted v.total_breaker_trips v.p50_downtime v.p95_downtime
-    v.total_retries v.total_mac_failures v.total_wire_frames
-    (List.length v.failures)
+let scenario =
+  {
+    Scenario.name = "migrate";
+    bench = "migration";
+    doc = "live-migrate a cloaked process over a hostile, lossy channel";
+    default_seeds = 20;
+    ok =
+      "all invariants held: one incarnation, no wire plaintext, no replayed or \
+       tampered blob accepted, bounded downtime, deterministic audit";
+    run_seed;
+    pp = pp_seed_report;
+    aggregate;
+  }

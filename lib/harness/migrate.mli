@@ -37,25 +37,25 @@ val antagonist : Guest.Abi.program
 val kconfig : Guest.Kernel.config
 val policy : Guest.Kernel.restart_policy
 
-val max_attempts : int
-(** Migration attempts before the driver's circuit breaker gives up and
-    leaves the process at the source for good. *)
+(** {1 Migration sessions}
 
-val downtime_bound : int
-(** Acceptance ceiling on a committed run's downtime, in model cycles. *)
+    One session moves a sealed blob from a sender to a receiver over the
+    hostile channel: retransmission rounds under the shared retry policy
+    until READY or the deadline, then fence + COMMIT, or ABORT; either
+    way both session keys are scrubbed. The fleet's drains and rescues
+    use the same code. *)
 
-val abort_downtime_bound : int
-(** Ceiling on the stall cycles a fully-aborted migration may have cost
-    the source ([max_attempts] deadline-bounded drain windows, dominated
-    by chunk-resend MAC charges). *)
+type link = { ch : Cloak.Migrate.channel; jitter : Oscrypto.Prng.t }
+(** The wire and the retry jitter that sessions share. *)
 
-val hostile_plan : seed:int -> Inject.plan
-(** Bounded bursts of channel mayhem on the [Mig_*] sites only. *)
+val attempt :
+  link -> src:Cloak.Vmm.t -> tag:string -> Cloak.Migrate.sender ->
+  Cloak.Migrate.receiver -> bool
+(** Run one session; [true] iff it committed, in which case [src] has
+    retired [tag]'s seal generation before COMMIT went out (the
+    split-brain fence) and the receiver holds the verified blob. *)
 
-val blackhole_plan : seed:int -> Inject.plan
-(** Drops every forward frame forever: no attempt can commit, so the run
-    must walk the whole abort path — per-attempt deadline abort, re-arm,
-    circuit breaker — with the source finishing untouched. *)
+(** {1 The sweep} *)
 
 type seed_report = {
   seed : int;
@@ -65,7 +65,7 @@ type seed_report = {
   hostile_attempts : int;
   hostile_breaker : bool;
   hostile_downtime : int;
-  attempts : int;  (** clean + hostile migration attempts (drain count) *)
+  attempts : int;  (** clean + hostile + blackhole attempts (drain count) *)
   completed : int;
   aborts : int;
   retries : int;  (** transfer-round retries under the shared backoff *)
@@ -73,71 +73,15 @@ type seed_report = {
   downtime_cycles : int;
   breaker_trips : int;  (** runs that exhausted the attempt budget *)
   wire_frames : int;
-  wire_bytes : int;
-  audit_dropped : int;
-  failures : string list;  (** broken invariants; empty = passed *)
+  crash_points : int;  (** crash-matrix points run for this seed *)
+  crash_fenced : int;  (** of which the source had fenced *)
 }
 
-val run_seed : seed:int -> seed_report
-(** Four full runs (clean, hostile twice for determinism, blackhole for
-    the abort path) plus the invariant checks and adversarial probes. *)
-
-type verdict = {
-  seeds_run : int;
-  clean_committed : int;
-  hostile_committed : int;
-  hostile_aborted : int;
-  total_attempts : int;
-  total_retries : int;
-  total_mac_failures : int;
-  total_breaker_trips : int;
-  p50_downtime : int;  (** over every committed run's downtime *)
-  p95_downtime : int;
-  total_wire_frames : int;
-  reports : seed_report list;
-  failures : (int * string) list;  (** (seed, broken invariant) *)
-}
-
-val run_seeds :
-  ?progress:(seed_report -> unit) -> seeds:int list -> unit -> verdict
-
-(** {1 Crash matrix}
-
-    Power the source off at every calibrated occurrence of every channel
-    site and post-mortem the split-brain invariants: fenced ⇒ the
-    destination holds the verified blob and adopts it exactly once (a
-    second adoption dies stale); not fenced ⇒ the receiver never
-    committed and the source's latest checkpoint still unseals. *)
-
-type crash_outcome = {
-  point : Crash.point;
-  crash_seed : int;
-  crashed : bool;
-  fenced : bool;  (** the source had retired the migrated generation *)
-  crash_failures : string list;
-}
-
-val run_crash_point : seed:int -> Crash.point -> crash_outcome
-(** Run the scenario twice with a [Crash_point] armed at the point
-    (determinism included in the checks) and post-mortem the survivors. *)
-
-type crash_report = {
-  crash_points : int;
-  crash_fenced : int;
-  matrix_failures : (string * string) list;  (** (point, failure) *)
-}
-
-val run_crash_matrix :
-  ?per_site:int -> seeds:int list -> unit -> crash_report
-(** Calibrate each seed's clean run for [Mig_*] occurrence counts, then
-    sample up to [per_site] (default 4) crash points per site. *)
-
-val exit_code : verdict -> crash_report -> int
-(** Process exit status for the CLI: 0 iff neither the sweep nor the
-    crash matrix broke an invariant. *)
-
-val pp_seed_report : Format.formatter -> seed_report -> unit
-
-val summary_line : verdict -> string
-(** One line: commit/abort split, downtime percentiles, retry and
-    bad-MAC totals, invariant failures. *)
+val scenario : seed_report Scenario.t
+(** Per seed: clean, hostile (replayed for determinism) and blackhole
+    cells, invariant checks and adversarial probes. The first three
+    seeds of a sweep also power the source off at up to 4 calibrated
+    occurrences of every channel site (each a replayed cell) and
+    post-mortem the split-brain invariants: fenced ⇒ the destination
+    adopts the verified blob exactly once; not fenced ⇒ the receiver
+    never committed and the source's latest checkpoint still unseals. *)

@@ -9,25 +9,11 @@
    See observe.mli. *)
 
 type report = {
-  o_seed : int;
-  o_cycles_off : int;
-  o_cycles_on : int;
-  o_samples : int;
-  o_spans : int;
-  o_failovers : int;
-  o_stitched : int;
+  o_metrics : (string * Report.t) list;
   o_traces : Telemetry.Causal.trace list;
-  o_fast_alerts : int;
-  o_slow_alerts : int;
-  o_worst_burn : float;
-  o_sup_timeline : (int * int * int * int) list;
-  o_unsup_timeline : (int * int * int * int) list;
   o_chrome_json : string;
   o_failures : string list;
 }
-
-let delta r = r.o_cycles_on - r.o_cycles_off
-let zero_overhead r = delta r = 0
 
 let run ?(seed = 7) () =
   let fails = ref [] in
@@ -38,12 +24,11 @@ let run ?(seed = 7) () =
   (* the zero-overhead proof: same plan, same seed, registries off vs on
      — every charged cycle must match, and so must the overlay's routing
      decisions (the gauge feed and its fallback read the same values) *)
-  if off.Fleet.r_cycles <> on_.Fleet.r_cycles then
+  let delta = on_.Fleet.r_cycles - off.Fleet.r_cycles in
+  if delta <> 0 then
     fail
-      (Printf.sprintf
-         "telemetry is not free: %d model cycles off, %d on (%+d)"
-         off.Fleet.r_cycles on_.Fleet.r_cycles
-         (on_.Fleet.r_cycles - off.Fleet.r_cycles));
+      (Printf.sprintf "telemetry is not free: %d model cycles off, %d on (%+d)"
+         off.Fleet.r_cycles on_.Fleet.r_cycles delta);
   if Telemetry.samples off.Fleet.r_tel + Telemetry.span_count off.Fleet.r_tel > 0
   then fail "null registry recorded samples";
   if Fleet.goodput off.Fleet.r_sup <> Fleet.goodput on_.Fleet.r_sup then
@@ -63,10 +48,9 @@ let run ?(seed = 7) () =
   List.iter (fun f -> fail ("hostile: " ^ f)) on_.Fleet.r_mech_failures;
   if on_.Fleet.r_failovers > 0 && on_.Fleet.r_stitched < 1 then
     fail "a failover committed but no cross-host trace stitched";
-  let fast = on_.Fleet.r_sup.Fleet.sim_fast_alerts
-             + on_.Fleet.r_unsup.Fleet.sim_fast_alerts in
-  let slow = on_.Fleet.r_sup.Fleet.sim_slow_alerts
-             + on_.Fleet.r_unsup.Fleet.sim_slow_alerts in
+  let sup = on_.Fleet.r_sup and unsup = on_.Fleet.r_unsup in
+  let fast = sup.Fleet.sim_fast_alerts + unsup.Fleet.sim_fast_alerts in
+  let slow = sup.Fleet.sim_slow_alerts + unsup.Fleet.sim_slow_alerts in
   if on_.Fleet.r_deaths > 0 && fast + slow = 0 then
     fail "a host died but no burn-rate alert fired";
   (* a fault-free fleet must never page *)
@@ -78,46 +62,34 @@ let run ?(seed = 7) () =
   in
   if ff_alerts > 0 then
     fail (Printf.sprintf "fault-free fleet fired %d burn-rate alert(s)" ff_alerts);
-  let traces = Telemetry.Causal.stitch (Telemetry.spans on_.Fleet.r_tel) in
   {
-    o_seed = seed;
-    o_cycles_off = off.Fleet.r_cycles;
-    o_cycles_on = on_.Fleet.r_cycles;
-    o_samples =
-      Telemetry.samples on_.Fleet.r_tel
-      + on_.Fleet.r_sup.Fleet.sim_samples
-      + on_.Fleet.r_unsup.Fleet.sim_samples;
-    o_spans = Telemetry.span_count on_.Fleet.r_tel;
-    o_failovers = on_.Fleet.r_failovers;
-    o_stitched = on_.Fleet.r_stitched;
-    o_traces = traces;
-    o_fast_alerts = fast;
-    o_slow_alerts = slow;
-    o_worst_burn =
-      max on_.Fleet.r_sup.Fleet.sim_worst_burn
-        on_.Fleet.r_unsup.Fleet.sim_worst_burn;
-    o_sup_timeline = on_.Fleet.r_sup.Fleet.sim_timeline;
-    o_unsup_timeline = on_.Fleet.r_unsup.Fleet.sim_timeline;
+    o_metrics =
+      [ ("seed", Report.Int seed);
+        ("cycles_registry_off", Report.Int off.Fleet.r_cycles);
+        ("cycles_registry_on", Report.Int on_.Fleet.r_cycles);
+        ("delta_cycles", Report.Int delta);
+        ("zero_model_cycle_overhead", Report.Bool (delta = 0));
+        ( "samples",
+          Report.Int
+            (Telemetry.samples on_.Fleet.r_tel + sup.Fleet.sim_samples
+           + unsup.Fleet.sim_samples) );
+        ("spans", Report.Int (Telemetry.span_count on_.Fleet.r_tel));
+        ("failovers", Report.Int on_.Fleet.r_failovers);
+        ("stitched_traces", Report.Int on_.Fleet.r_stitched);
+        ("burn_alerts_fast", Report.Int fast);
+        ("burn_alerts_slow", Report.Int slow);
+        ("worst_burn", Report.Float (max sup.Fleet.sim_worst_burn unsup.Fleet.sim_worst_burn));
+        ("sup_timeline", Fleet.timeline_json sup.Fleet.sim_timeline);
+        ("unsup_timeline", Fleet.timeline_json unsup.Fleet.sim_timeline) ];
+    o_traces = Telemetry.Causal.stitch (Telemetry.spans on_.Fleet.r_tel);
     o_chrome_json = Trace.to_chrome_fleet on_.Fleet.r_host_traces;
     o_failures = List.rev !fails;
   }
 
-let exit_code r = Sweep.exit_code (List.map (fun f -> (r.o_seed, f)) r.o_failures)
-
 let pp_report ppf r =
-  Format.fprintf ppf
-    "seed %d: %d cycles off / %d on (%+d); %d samples, %d spans; %d \
-     failover%s, %d stitched cross-host trace%s; burn alerts fast=%d \
-     slow=%d (worst burn %.2f)@."
-    r.o_seed r.o_cycles_off r.o_cycles_on (delta r) r.o_samples r.o_spans
-    r.o_failovers
-    (if r.o_failovers = 1 then "" else "s")
-    r.o_stitched
-    (if r.o_stitched = 1 then "" else "s")
-    r.o_fast_alerts r.o_slow_alerts r.o_worst_burn;
+  Format.fprintf ppf "telemetry:@.%a" Scenario.pp_metrics r.o_metrics;
   List.iter
     (fun tr ->
       if List.length tr.Telemetry.Causal.tr_hosts >= 2 then
         Format.fprintf ppf "    %a@." Telemetry.Causal.pp_trace tr)
-    r.o_traces;
-  List.iter (fun f -> Format.fprintf ppf "    FAILED %s@." f) r.o_failures
+    r.o_traces

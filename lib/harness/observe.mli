@@ -17,20 +17,12 @@
       the same seed paged nobody. *)
 
 type report = {
-  o_seed : int;
-  o_cycles_off : int;  (** hostile run, registries disabled *)
-  o_cycles_on : int;   (** same plan and seed, registries enabled *)
-  o_samples : int;     (** enabled run: fleet + overlay metric samples *)
-  o_spans : int;
-  o_failovers : int;
-  o_stitched : int;    (** complete causal traces spanning ≥ 2 hosts *)
-  o_traces : Telemetry.Causal.trace list;
-  o_fast_alerts : int;  (** hostile overlays, supervised + unsupervised *)
-  o_slow_alerts : int;
-  o_worst_burn : float;
-  o_sup_timeline : (int * int * int * int) list;
-      (** [(window, admitted, good, p99)] — hostile supervised overlay *)
-  o_unsup_timeline : (int * int * int * int) list;
+  o_metrics : (string * Report.t) list;
+      (** the proof's numbers, computed once: the BENCH fields and the
+          printed summary — cycles off/on and their delta, samples,
+          spans, failovers, stitched traces, burn alerts, the hostile
+          overlays' timelines *)
+  o_traces : Telemetry.Causal.trace list;  (** the enabled run's stitched traces *)
   o_chrome_json : string;
       (** fleet-wide Chrome trace: one pid row per VMM host *)
   o_failures : string list;
@@ -39,13 +31,5 @@ type report = {
 val run : ?seed:int -> unit -> report
 (** Three fleet scenarios (hostile off, hostile on, fault-free) at
     [seed] (default 7, the regression sentinel's pin). *)
-
-val delta : report -> int
-(** [o_cycles_on - o_cycles_off] — must be 0. *)
-
-val zero_overhead : report -> bool
-
-val exit_code : report -> int
-(** 0 iff every check above held. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -6,7 +6,14 @@ open Machine
 open Guest
 
 let canary = "SOAK-CANARY-SEALED-STATE-SECRET!"
-let contains_canary = Sweep.contains_pattern canary
+let contains_canary = Scenario.contains_pattern canary
+let scan_leaks vmm k = Scenario.scan_leaks ~pattern:canary vmm k
+
+let wire_leaks wire =
+  List.concat
+    (List.mapi
+       (fun i w -> if contains_canary w then [ Printf.sprintf "wire frame %d" i ] else [])
+       wire)
 
 (* --- the workload ---
 
@@ -24,11 +31,12 @@ let contains_canary = Sweep.contains_pattern canary
    fails EINVAL, which the service tolerates, and any fatal kill is final. *)
 
 let rounds = 24
-let unit_cycles = 30_000
 let counter_off = 0
 let canary_off = 64
 
-let service (env : Abi.env) =
+(* [vault] adds the protected-file round trip to every unit; the
+   migration harness runs the same service without it. *)
+let restartable ~rounds ~unit_cycles ~vault (env : Abi.env) =
   let u = Uapi.of_env env in
   let restored = Uapi.restored u in
   let state_vpn =
@@ -58,22 +66,25 @@ let service (env : Abi.env) =
      sustained IV/DMA fault rules lethal in BOTH modes — a fresh file per
      round would reset page versions and exempt the unsupervised baseline
      from IV-reuse violations entirely. *)
-  let vault = Printf.sprintf "/vault%d" (Uapi.incarnation u) in
+  let vault = if vault then Some (Printf.sprintf "/vault%d" (Uapi.incarnation u)) else None in
   for unit = start to rounds - 1 do
     Uapi.compute u ~cycles:unit_cycles;
     let tag = Printf.sprintf "%s:%04d" canary unit in
     Uapi.store u ~vaddr:scratch (Bytes.of_string tag);
     (* app-level I/O errors (an exhausted device retry) must not kill the
        service *)
-    (try
-       let f =
-         try Oshim.Shim_io.open_existing sh ~path:vault
-         with Errno.Error _ -> Oshim.Shim_io.create sh ~path:vault ~pages:1
-       in
-       Oshim.Shim_io.write sh f ~pos:0 (Bytes.of_string tag);
-       Oshim.Shim_io.save sh f;
-       Oshim.Shim_io.close sh f
-     with Errno.Error _ | Invalid_argument _ -> ());
+    Option.iter
+      (fun vault ->
+        try
+          let f =
+            try Oshim.Shim_io.open_existing sh ~path:vault
+            with Errno.Error _ -> Oshim.Shim_io.create sh ~path:vault ~pages:1
+          in
+          Oshim.Shim_io.write sh f ~pos:0 (Bytes.of_string tag);
+          Oshim.Shim_io.save sh f;
+          Oshim.Shim_io.close sh f
+        with Errno.Error _ | Invalid_argument _ -> ())
+      vault;
     write_counter (unit + 1);
     (try
        let fd = Uapi.openf u "/progress" [ Abi.O_CREAT; Abi.O_RDWR ] in
@@ -82,11 +93,14 @@ let service (env : Abi.env) =
        ignore (Uapi.write u ~fd ~vaddr:marker ~len:1);
        Uapi.close u fd
      with Errno.Error _ -> ());
-    (* quiesce point: ask the supervisor for a sealed checkpoint
-       (unsupervised baseline gets EINVAL and carries on) *)
+    (* quiesce point: ask the supervisor for a sealed checkpoint (and, when
+       armed, the drain hook); the unsupervised baseline gets EINVAL and
+       carries on *)
     (try ignore (Oshim.Shim.checkpoint sh) with Errno.Error _ -> ())
   done;
   Uapi.exit u 0
+
+let service = restartable ~rounds ~unit_cycles:30_000 ~vault:true
 
 (* Uncloaked noise: memory pressure so the service's cloaked pages cycle
    through swap, and disk traffic so block-device faults have targets. *)
@@ -174,28 +188,32 @@ let soak_plan ~seed =
 
 type run = {
   units : int;
-  cycles : int;
   restarts : int;
   circuit_breaks : int;
   checkpoints : int;
   recovery_cycles : int;
-  service_status : int option;
-  leaks : string list;
-  audit : string list;
-  audit_dropped : int;
-  crash : string option;
+  hdr : Scenario.header;
   stats : Kernel.supervision_stats option;
   vmm : Cloak.Vmm.t;  (* kept for post-run stale-rollback probes *)
-  trace_failures : string list;
   trace_dropped : int;
   hot_spots : (string * int) list;
 }
 
-let scan_leaks vmm k = Sweep.scan_leaks ~pattern:canary vmm k
+(* Privacy across restarts: besides every OS-visible surface, the sealed
+   checkpoint blobs the OS stores must not hold the canary either. *)
+let blob_leaks = function
+  | None -> []
+  | Some s ->
+      List.filter_map
+        (fun (name, blob) ->
+          match blob with
+          | Some b when contains_canary b -> Some (name ^ " checkpoint blob")
+          | _ -> None)
+        [ ("last", s.Kernel.sup_last_checkpoint); ("prev", s.Kernel.sup_prev_checkpoint) ]
 
 let run_once ~plan ~seed ~supervised =
   let engine = Inject.create plan in
-  let vconfig = Sweep.vconfig ~salt:0xC4A05 ~seed in
+  let vconfig = Scenario.vconfig ~salt:0xC4A05 ~seed in
   let trace = Trace.ring () in
   let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace () in
   let k = Kernel.create ~config:kconfig vmm in
@@ -219,19 +237,13 @@ let run_once ~plan ~seed ~supervised =
   let counters = Cloak.Vmm.counters vmm in
   {
     units;
-    cycles = Cost.cycles (Cloak.Vmm.cost vmm);
     restarts = counters.restarts;
     circuit_breaks = counters.circuit_breaks;
     checkpoints = counters.seal_checkpoints;
     recovery_cycles = (match stats with Some s -> s.sup_recovery_cycles | None -> 0);
-    service_status = Kernel.exit_status k ~pid:service_pid;
-    leaks = scan_leaks vmm k;
-    audit = Inject.Audit.lines (Cloak.Vmm.audit vmm);
-    audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit vmm);
-    crash;
+    hdr = Scenario.observe ~crash ~leaks:(scan_leaks vmm k @ blob_leaks stats) vmm trace;
     stats;
     vmm;
-    trace_failures = Trace.Check.verdict trace;
     trace_dropped = Trace.dropped trace;
     hot_spots =
       Profile.hot_spots ~root:(if supervised then "soak-sup" else "soak-unsup")
@@ -239,60 +251,34 @@ let run_once ~plan ~seed ~supervised =
         ~n:3 trace;
   }
 
-(* --- invariants --- *)
-
-(* 1: privacy across restarts — the canary is never OS-visible, including
-   inside the sealed checkpoint blobs the OS stores. *)
-let check_privacy r =
-  let fails = ref [] in
-  (match r.leaks with
-  | [] -> ()
-  | l ->
-      fails := Printf.sprintf "canary leaked to: %s" (String.concat ", " l) :: !fails);
-  (match r.stats with
-  | Some s ->
-      List.iter
-        (fun (name, blob) ->
-          match blob with
-          | Some b when contains_canary b ->
-              fails := Printf.sprintf "plaintext canary inside %s checkpoint blob" name :: !fails
-          | _ -> ())
-        [ ("last", s.Kernel.sup_last_checkpoint); ("prev", s.Kernel.sup_prev_checkpoint) ]
-  | None -> ());
-  !fails
-
-(* 2: no stale-checkpoint acceptance — offering the previous (validly
-   MAC'd) checkpoint back to the VMM must raise Stale_checkpoint, while
-   the latest one still unseals. *)
+(* No stale-checkpoint acceptance: offering the previous (validly MAC'd)
+   checkpoint back to the VMM must raise Stale_checkpoint, while the
+   latest one still unseals. *)
 let check_stale r =
+  let fault blob =
+    match Cloak.Seal.unseal r.vmm blob with
+    | _ -> None
+    | exception Cloak.Violation.Security_fault v -> Some v.Cloak.Violation.kind
+  in
+  let name = Cloak.Violation.kind_to_string in
   match r.stats with
   | None -> []
-  | Some s -> (
-      let fails = ref [] in
-      (match s.Kernel.sup_prev_checkpoint with
-      | None -> ()
-      | Some prev -> (
-          match Cloak.Seal.unseal r.vmm prev with
-          | _ -> fails := "stale checkpoint unsealed without a violation" :: !fails
-          | exception Cloak.Violation.Security_fault v ->
-              if v.Cloak.Violation.kind <> Cloak.Violation.Stale_checkpoint then
-                fails :=
-                  Printf.sprintf "stale checkpoint raised %s, not stale-checkpoint"
-                    (Cloak.Violation.kind_to_string v.Cloak.Violation.kind)
-                  :: !fails));
-      (match s.Kernel.sup_last_checkpoint with
-      | None -> ()
-      | Some last -> (
-          match Cloak.Seal.unseal r.vmm last with
-          | _ -> ()
-          | exception Cloak.Violation.Security_fault v ->
-              fails :=
-                Printf.sprintf "latest checkpoint refused (%s)"
-                  (Cloak.Violation.kind_to_string v.Cloak.Violation.kind)
-                :: !fails));
-      !fails)
+  | Some s ->
+      let stale =
+        match Option.map fault s.Kernel.sup_prev_checkpoint with
+        | None | Some (Some Cloak.Violation.Stale_checkpoint) -> []
+        | Some None -> [ "stale checkpoint unsealed without a violation" ]
+        | Some (Some k) ->
+            [ Printf.sprintf "stale checkpoint raised %s, not stale-checkpoint" (name k) ]
+      in
+      let latest =
+        match Option.map fault s.Kernel.sup_last_checkpoint with
+        | Some (Some k) -> [ Printf.sprintf "latest checkpoint refused (%s)" (name k) ]
+        | _ -> []
+      in
+      stale @ latest
 
-(* --- many seeds --- *)
+(* --- the scenario: fault-free, supervised (replayed), unsupervised --- *)
 
 type seed_report = {
   seed : int;
@@ -303,59 +289,21 @@ type seed_report = {
   circuit_breaks : int;
   checkpoints : int;
   recovery_cycles : int;
-  audit_dropped : int;
   trace_dropped : int;
   hot_spots : (string * int) list;
-  failures : string list;
 }
 
-type verdict = {
-  seeds_run : int;
-  availability_sup : float;  (** mean percent of fault-free useful work *)
-  availability_unsup : float;
-  mttr_cycles : float;  (** mean recovery cycles per restart *)
-  total_restarts : int;
-  total_circuit_breaks : int;
-  total_checkpoints : int;
-  total_units_sup : int;
-  total_units_unsup : int;
-  reports : seed_report list;
-  failures : (int * string) list;
-}
-
-let run_seed ~seed =
-  let fault_free = run_once ~plan:(Inject.plan ~seed []) ~seed ~supervised:true in
+let run_seed c =
+  let seed = Scenario.seed c in
+  let cell ?replay label ~plan ~supervised =
+    Scenario.cell c ?replay label ~header:(fun r -> r.hdr) (fun () ->
+        run_once ~plan ~seed ~supervised)
+  in
+  let fault_free = cell "fault-free" ~plan:(Inject.plan ~seed []) ~supervised:true in
   let plan = soak_plan ~seed in
-  let sup = run_once ~plan ~seed ~supervised:true in
-  let sup' = run_once ~plan ~seed ~supervised:true in
-  let unsup = run_once ~plan ~seed ~supervised:false in
-  let fails = ref [] in
-  (match fault_free.crash with
-  | Some m -> fails := Printf.sprintf "fault-free run crashed: %s" m :: !fails
-  | None -> ());
-  List.iter
-    (fun (r : run) ->
-      match r.crash with
-      | Some m -> fails := Printf.sprintf "uncaught exception: %s" m :: !fails
-      | None -> ())
-    [ sup; unsup ];
-  (* 3: determinism — same seed, same mode, bit-identical audit *)
-  (match
-     Sweep.determinism_failure ~audit_a:sup.audit ~audit_b:sup'.audit
-       ~dropped:(max sup.audit_dropped sup'.audit_dropped)
-   with
-  | Some what -> fails := what :: !fails
-  | None -> ());
-  List.iter (fun f -> fails := f :: !fails) (check_privacy sup);
-  List.iter (fun f -> fails := f :: !fails) (check_privacy unsup);
-  List.iter (fun f -> fails := f :: !fails) (check_stale sup);
-  (* 4: trace-checked invariants over every mode, fault-free included *)
-  List.iter
-    (fun (mode, r) ->
-      List.iter
-        (fun f -> fails := Printf.sprintf "%s trace invariant: %s" mode f :: !fails)
-        r.trace_failures)
-    [ ("fault-free", fault_free); ("supervised", sup); ("unsupervised", unsup) ];
+  let sup = cell ~replay:true "supervised" ~plan ~supervised:true in
+  let unsup = cell "unsupervised" ~plan ~supervised:false in
+  List.iter (Scenario.fail c) (check_stale sup);
   {
     seed;
     units_ff = fault_free.units;
@@ -365,58 +313,46 @@ let run_seed ~seed =
     circuit_breaks = sup.circuit_breaks;
     checkpoints = sup.checkpoints;
     recovery_cycles = sup.recovery_cycles;
-    audit_dropped = max sup.audit_dropped (max sup'.audit_dropped unsup.audit_dropped);
     trace_dropped = max sup.trace_dropped (max fault_free.trace_dropped unsup.trace_dropped);
     hot_spots = sup.hot_spots;
-    failures = List.rev !fails;
   }
 
-let run_seeds ?(progress = fun _ -> ()) ~seeds () =
-  let reports = Sweep.map_seeds ~progress ~run:(fun ~seed -> run_seed ~seed) seeds in
-  let failures =
-    Sweep.collect_failures ~seed_of:(fun r -> r.seed)
-      ~failures_of:(fun r -> r.failures)
-      reports
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-  let mean_pct num den =
-    let pcts =
+(* Supervision must strictly beat its absence over the whole sweep — the
+   soak's reason to exist. *)
+let aggregate rs =
+  let sum f = Scenario.sum f rs in
+  let mean_pct num =
+    match
       List.filter_map
-        (fun r -> if den r = 0 then None else Some (100.0 *. float_of_int (num r) /. float_of_int (den r)))
-        reports
-    in
-    match pcts with
+        (fun r ->
+          if r.units_ff = 0 then None
+          else Some (100.0 *. float_of_int (num r) /. float_of_int r.units_ff))
+        rs
+    with
     | [] -> 0.0
     | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
   in
-  let total_restarts = sum (fun r -> r.restarts) in
-  let total_recovery = sum (fun r -> r.recovery_cycles) in
-  {
-    seeds_run = List.length reports;
-    availability_sup = mean_pct (fun r -> r.units_sup) (fun r -> r.units_ff);
-    availability_unsup = mean_pct (fun r -> r.units_unsup) (fun r -> r.units_ff);
-    mttr_cycles =
-      (if total_restarts = 0 then 0.0
-       else float_of_int total_recovery /. float_of_int total_restarts);
-    total_restarts;
-    total_circuit_breaks = sum (fun r -> r.circuit_breaks);
-    total_checkpoints = sum (fun r -> r.checkpoints);
-    total_units_sup = sum (fun r -> r.units_sup);
-    total_units_unsup = sum (fun r -> r.units_unsup);
-    reports;
-    failures;
-  }
+  let restarts = sum (fun r -> r.restarts) in
+  let sup = sum (fun r -> r.units_sup) and unsup = sum (fun r -> r.units_unsup) in
+  ( [ ("rounds_per_run", Report.Int rounds);
+      ("availability_supervised", Report.Float (mean_pct (fun r -> r.units_sup)));
+      ("availability_unsupervised", Report.Float (mean_pct (fun r -> r.units_unsup)));
+      ( "mttr_cycles",
+        Report.Float
+          (if restarts = 0 then 0.0
+           else float_of_int (sum (fun r -> r.recovery_cycles)) /. float_of_int restarts) );
+      ("restarts", Report.Int restarts);
+      ("circuit_breaks", Report.Int (sum (fun r -> r.circuit_breaks)));
+      ("checkpoints", Report.Int (sum (fun r -> r.checkpoints)));
+      ("units_supervised", Report.Int sup);
+      ("units_unsupervised", Report.Int unsup) ],
+    if sup > unsup then []
+    else [ Printf.sprintf "supervision did not beat its absence (%d units vs %d)" sup unsup ] )
 
 let pp_seed_report ppf r =
-  Format.fprintf ppf "seed %d: ff=%d sup=%d unsup=%d restarts=%d breaks=%d ckpts=%d%s%s@."
+  Format.fprintf ppf "seed %d: ff=%d sup=%d unsup=%d restarts=%d breaks=%d ckpts=%d@."
     r.seed r.units_ff r.units_sup r.units_unsup r.restarts r.circuit_breaks
-    r.checkpoints
-    (if r.audit_dropped > 0 then
-       Printf.sprintf " audit-dropped=%d" r.audit_dropped
-     else "")
-    (match r.failures with
-    | [] -> ""
-    | l -> " FAIL " ^ String.concat "; " l);
+    r.checkpoints;
   match r.hot_spots with
   | [] ->
       if r.trace_dropped > 0 then
@@ -428,14 +364,16 @@ let pp_seed_report ppf r =
         (String.concat ""
            (List.map (fun (p, cy) -> Printf.sprintf " %s=%dcy" p cy) spots))
 
-(* Red when any per-seed invariant broke, or when supervision failed to
-   strictly beat its absence over the whole sweep — the soak's reason to
-   exist. *)
-let exit_code v =
-  Sweep.exit_code ~red:(v.total_units_sup <= v.total_units_unsup) v.failures
-
-let summary_line v =
-  Printf.sprintf
-    "soak: %d seeds, availability %.1f%% supervised vs %.1f%% unsupervised, MTTR %.0f cycles, %d restarts, %d circuit-breaks, %d failures"
-    v.seeds_run v.availability_sup v.availability_unsup v.mttr_cycles
-    v.total_restarts v.total_circuit_breaks (List.length v.failures)
+let scenario =
+  {
+    Scenario.name = "soak";
+    bench = "availability";
+    doc = "supervised availability soak under sustained lethal fault plans";
+    default_seeds = 20;
+    ok =
+      "all invariants held: privacy across restarts, no stale-checkpoint acceptance, \
+       deterministic audit";
+    run_seed;
+    pp = pp_seed_report;
+    aggregate;
+  }

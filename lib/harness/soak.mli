@@ -21,13 +21,21 @@
 
     Across the whole seed set, supervision must strictly beat its absence:
     total supervised units > total unsupervised units under the same
-    plans (asserted by the caller; see {!verdict}). *)
+    plans (a sweep-level failure of {!scenario}). *)
 
 val canary : string
-val contains_canary : bytes -> bool
 
 val rounds : int
 (** Units of work a fault-free service completes. *)
+
+val restartable :
+  rounds:int -> unit_cycles:int -> vault:bool -> Guest.Abi.program
+(** The restart-aware cloaked service: a cloaked state page (unit counter
+    and canary) mmapped first, [rounds] units of [unit_cycles] each, one
+    OS-visible progress byte per unit and a sealed checkpoint (the
+    quiesce point) after every unit; a restored incarnation resumes from
+    its counter. [vault] adds a protected-file round trip to every unit.
+    The soak runs it with the vault, the migration harness without. *)
 
 val kconfig : Guest.Kernel.config
 (** Tight guest memory plus a metadata journal (seal generations must be
@@ -38,13 +46,10 @@ val policy : Guest.Kernel.restart_policy
 val scan_leaks : Cloak.Vmm.t -> Guest.Kernel.t -> string list
 (** Every OS-visible surface (machine memory, RAM remanence, disk and swap
     blocks) holding the canary, for harnesses that plant it — shared with
-    the migration harness, which also scans its wire frames. *)
+    the migration and fleet harnesses. *)
 
-val soak_plan : seed:int -> Inject.plan
-(** The seed's chaos plan plus recurring lethal rules. [Seal_write] and
-    [Restore] rules are excluded (the harness's own post-run unseal probes
-    must observe staleness, not injected tampering; those sites are
-    covered deterministically by the seal tests). *)
+val wire_leaks : bytes list -> string list
+(** The recorded wire frames holding the canary, as ["wire frame <i>"]. *)
 
 type seed_report = {
   seed : int;
@@ -55,46 +60,15 @@ type seed_report = {
   circuit_breaks : int;
   checkpoints : int;
   recovery_cycles : int;
-  audit_dropped : int;
-      (** worst audit-ring truncation across the seed's runs *)
   trace_dropped : int;
       (** worst flight-recorder ring truncation across the seed's runs *)
   hot_spots : (string * int) list;
       (** the supervised run's top self-cycle call contexts
           ({!Profile.hot_spots}) — where a flagged perf regression most
           likely lives; empty when that run's trace ring wrapped *)
-  failures : string list;
-      (** broken invariants (privacy, staleness, determinism, and the
-          flight-recorder trace checks over every mode); empty = passed *)
 }
 
-type verdict = {
-  seeds_run : int;
-  availability_sup : float;  (** mean % of fault-free useful work *)
-  availability_unsup : float;
-  mttr_cycles : float;       (** mean recovery cycles per restart *)
-  total_restarts : int;
-  total_circuit_breaks : int;
-  total_checkpoints : int;
-  total_units_sup : int;
-  total_units_unsup : int;
-  reports : seed_report list;
-  failures : (int * string) list;  (** (seed, broken invariant) *)
-}
-
-val run_seed : seed:int -> seed_report
-(** Four runs (fault-free, supervised twice for determinism, unsupervised)
-    plus the invariant checks. *)
-
-val run_seeds :
-  ?progress:(seed_report -> unit) -> seeds:int list -> unit -> verdict
-
-val exit_code : verdict -> int
-(** Process exit status for the CLI: 0 iff no invariant failed {e and}
-    supervision strictly beat its absence on total useful work. *)
-
-val pp_seed_report : Format.formatter -> seed_report -> unit
-
-val summary_line : verdict -> string
-(** The one-line result: availability supervised vs unsupervised, MTTR,
-    restart and circuit-break counts. *)
+val scenario : seed_report Scenario.t
+(** Per seed: fault-free, supervised (replayed for determinism) and
+    unsupervised cells, then the stale-checkpoint probes. The sweep fails
+    unless supervision strictly beat its absence on total useful work. *)

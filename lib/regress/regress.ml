@@ -97,12 +97,16 @@ let suite ?cost_model () =
   (* one deterministic live-migration seed pins the protocol's event
      counts (attempt/abort/retry/MAC-reject behaviour must not drift
      silently) and tracks its downtime like any other latency *)
-  let migrate =
-    let r = Harness.Migrate.run_seed ~seed:7 in
-    if r.Harness.Migrate.failures <> [] then
+  let pinned (type r) (sc : r Harness.Scenario.t) : r =
+    let s = Harness.Scenario.run_one sc ~seed:7 in
+    if s.failures <> [] then
       failwith
-        ("regress: migration invariants broken: "
-        ^ String.concat "; " r.Harness.Migrate.failures);
+        (Printf.sprintf "regress: %s invariants broken: %s" sc.name
+           (String.concat "; " s.failures));
+    s.report
+  in
+  let migrate =
+    let r = pinned Harness.Migrate.scenario in
     [
       { name = "migrate/attempts"; kind = Counter; value = r.Harness.Migrate.attempts };
       { name = "migrate/completed"; kind = Counter; value = r.Harness.Migrate.completed };
@@ -118,11 +122,7 @@ let suite ?cost_model () =
      (death/drain/failover/shed/heartbeat-timeout behaviour must not
      drift silently) *)
   let fleet =
-    let r = Harness.Fleet.run_seed ~seed:7 in
-    if r.Harness.Fleet.failures <> [] then
-      failwith
-        ("regress: fleet invariants broken: "
-        ^ String.concat "; " r.Harness.Fleet.failures);
+    let r = pinned Harness.Fleet.scenario in
     [
       { name = "fleet/deaths"; kind = Counter; value = r.Harness.Fleet.deaths };
       { name = "fleet/drains"; kind = Counter; value = r.Harness.Fleet.drains };
@@ -152,11 +152,7 @@ let suite ?cost_model () =
      refusals) — a drift here means the adversary or the paraverification
      layer changed behaviour *)
   let adversary =
-    let r = Harness.Adversary.run_seed ~seed:7 in
-    if r.Harness.Adversary.failures <> [] then
-      failwith
-        ("regress: adversary invariants broken: "
-        ^ String.concat "; " r.Harness.Adversary.failures);
+    let r = pinned Harness.Adversary.scenario in
     [
       { name = "adversary/attacks"; kind = Counter; value = r.Harness.Adversary.attacks };
       { name = "adversary/lies-detected"; kind = Counter;

@@ -259,8 +259,9 @@ let test_errno_lie_degrades () =
 (* --- the sweep cell itself --- *)
 
 let test_sweep_cell_holds () =
-  let r = Harness.Adversary.run_seed ~seed:3 in
-  Alcotest.(check (list string)) "no invariant failures" [] r.Harness.Adversary.failures;
+  let s = Harness.Scenario.run_one Harness.Adversary.scenario ~seed:3 in
+  let r = s.report in
+  Alcotest.(check (list string)) "no invariant failures" [] s.failures;
   Alcotest.(check bool) "the adversary actually attacked" true
     (r.Harness.Adversary.attacks > 0);
   Alcotest.(check int) "every class reported" 4
@@ -278,7 +279,7 @@ let () =
         ] );
       ( "shim paraverification",
         [
-          QCheck_alcotest.to_alcotest fuzz_shim_paraverification;
+          Qseed.to_alcotest fuzz_shim_paraverification;
           quick "dug-in liar is refused" test_dug_in_liar_is_refused;
           quick "errno lies degrade, not corrupt" test_errno_lie_degrades;
         ] );

@@ -4,19 +4,18 @@
 open Machine
 open Guest
 
-let chaos_seeds = Harness.Chaos.seeds_from ~base:1 ~count:30
+module S = Harness.Scenario
 
-(* Each seed runs twice inside [run_seeds] (determinism check), so this is
-   60 full-stack runs under 30 distinct fault plans. *)
+let chaos_seeds = S.seeds_from ~base:1 ~count:30
+
+(* Each seed's hostile cell runs twice (the runner's replay rule), so this
+   is 60 full-stack runs under 30 distinct fault plans. *)
 let test_invariants () =
-  let v = Harness.Chaos.run_seeds ~seeds:chaos_seeds () in
-  List.iter
-    (fun (seed, what) -> Printf.printf "seed %d: %s\n%!" seed what)
-    v.failures;
-  Alcotest.(check (list (pair int string))) "no invariant failures" [] v.failures;
-  Alcotest.(check int) "all seeds ran" (List.length chaos_seeds) v.runs;
+  let v = S.run Harness.Chaos.scenario ~seeds:chaos_seeds in
+  Alcotest.(check (list string)) "no invariant failures" [] v.failures;
+  Alcotest.(check int) "all seeds ran" (List.length chaos_seeds) (S.int v "seeds");
   Alcotest.(check bool) "the fault plans actually fired" true
-    (v.total_injections > 0)
+    (S.int v "injections" > 0)
 
 (* At least some plans must push the stack hard enough that containment
    does real work; otherwise the harness proves nothing. *)
@@ -32,12 +31,12 @@ let test_chaos_exercises_containment () =
     (List.length hits > List.length chaos_seeds / 2)
 
 let test_determinism_audit_exact () =
-  (* beyond run_seeds' pairwise check: a third run still matches, and the
+  (* beyond the runner's pairwise replay check: a third run still matches, and the
      audit survives being compared line by line *)
   let seed = 20260806 in
   let a = Harness.Chaos.run_once ~seed in
   let b = Harness.Chaos.run_once ~seed in
-  Alcotest.(check (list string)) "same seed, same audit" a.audit b.audit;
+  Alcotest.(check (list string)) "same seed, same audit" a.hdr.audit b.hdr.audit;
   Alcotest.(check int) "same seed, same injections" a.injections b.injections;
   Alcotest.(check (list (pair int (option int)))) "same exits" a.exit_statuses
     b.exit_statuses
@@ -46,8 +45,8 @@ let test_different_seeds_differ () =
   let plans_distinct =
     List.exists
       (fun s ->
-        (Harness.Chaos.run_once ~seed:s).audit
-        <> (Harness.Chaos.run_once ~seed:(s + 1)).audit)
+        (Harness.Chaos.run_once ~seed:s).hdr.audit
+        <> (Harness.Chaos.run_once ~seed:(s + 1)).hdr.audit)
       [ 3; 17 ]
   in
   Alcotest.(check bool) "different seeds explore different behaviour" true
@@ -225,6 +224,78 @@ let test_syscall_path_containment () =
   Alcotest.(check bool) "audit saw the injection" true
     (List.exists (fun line -> contains_sub line "inject") r.audit)
 
+(* --- the scenario runner: the one replay rule and the uniform checks --- *)
+
+let hdr ?(dropped = 0) ?crash ?(leaks = []) ?(trace = []) audit =
+  { S.crash; leaks; audit; audit_dropped = dropped; trace_failures = trace }
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let test_replay_rule () =
+  let a = hdr [ "#000 inject blk-read"; "#001 quarantine shm:1" ] in
+  Alcotest.(check (option string)) "identical pair passes" None
+    (S.determinism_failure a (hdr a.audit));
+  Alcotest.(check (option string)) "different pair fails"
+    (Some "nondeterministic: same seed produced different audit logs")
+    (S.determinism_failure a (hdr [ "#000 inject blk-read" ]));
+  (* a wrapped ring voids the comparison: a failure that says why, never
+     a silent pass *)
+  match S.determinism_failure (hdr ~dropped:3 [ "#003 x" ]) (hdr [ "#004 y" ]) with
+  | Some m ->
+      Alcotest.(check bool) "carries the truncation note" true
+        (starts_with ~prefix:(Option.get (S.truncation_note 3)) m)
+  | None -> Alcotest.fail "wrapped ring passed silently"
+
+(* A one-cell scenario over hand-built headers: the runner, not the
+   scenario, finds the crash, the leak, the trace failure and the replay
+   divergence. *)
+let test_uniform_cell_checks () =
+  let runs = ref 0 in
+  let sc =
+    {
+      S.name = "probe"; bench = "probe"; doc = ""; default_seeds = 1; ok = "";
+      pp = (fun _ _ -> ());
+      aggregate = (fun _ -> ([], []));
+      run_seed =
+        (fun c ->
+          S.cell c ~replay:true "cell" ~header:Fun.id (fun () ->
+              incr runs;
+              hdr ~crash:"boom" ~leaks:[ "disk block 3" ] ~trace:[ "t" ]
+                [ string_of_int !runs ]));
+    }
+  in
+  let v = S.run sc ~seeds:[ 5 ] in
+  Alcotest.(check int) "replayed once" 2 !runs;
+  Alcotest.(check (list string)) "every check fired, labelled"
+    [ "seed 5: cell: uncaught exception: boom";
+      "seed 5: cell: canary leaked to: disk block 3";
+      "seed 5: cell: trace invariant: t";
+      "seed 5: cell: nondeterministic: same seed produced different audit logs" ]
+    v.failures;
+  Alcotest.(check int) "red exit" 1 (S.exit_code v)
+
+(* The BENCH schema: each scenario's one-seed document carries exactly the
+   keys of its committed BENCH file (chaos commits none: CI runs it
+   without --bench-out). *)
+let keys = function Report.Obj fields -> List.map fst fields | _ -> []
+
+let test_bench_schema () =
+  let committed bench = keys (Report.load ~path:("../BENCH_" ^ bench ^ ".json")) in
+  List.iter
+    (fun bench ->
+      let (S.Any sc) =
+        List.find (fun (S.Any sc) -> sc.S.bench = bench) Harness.scenarios
+      in
+      let v = S.run sc ~seeds:[ 1 ] in
+      Alcotest.(check (list string)) (bench ^ " keys") (committed bench)
+        (keys (S.bench_doc ~name:bench ~wall_s:0.0 ~failures:v.failures v.metrics)))
+    [ "recovery"; "availability"; "migration"; "fleet"; "adversary" ];
+  let r = Harness.Observe.run () in
+  Alcotest.(check (list string)) "telemetry keys" (committed "telemetry")
+    (keys (S.bench_doc ~name:"telemetry" ~wall_s:0.0 ~failures:r.o_failures r.o_metrics))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -244,5 +315,11 @@ let () =
           Alcotest.test_case "exhaustion is ENOMEM" `Quick test_exhaustion_is_enomem;
           Alcotest.test_case "syscall-path security fault contained" `Quick
             test_syscall_path_containment;
+        ] );
+      ( "runner",
+        [
+          Alcotest.test_case "replay rule on hand-built pairs" `Quick test_replay_rule;
+          Alcotest.test_case "uniform cell checks" `Quick test_uniform_cell_checks;
+          Alcotest.test_case "BENCH keys = committed files" `Slow test_bench_schema;
         ] );
     ]

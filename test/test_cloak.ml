@@ -573,7 +573,7 @@ let () =
           quick "drop scrubs" test_drop_cloaked_pages_scrubs;
           quick "uncloak scrubs" test_uncloak_resource_scrubs;
           quick "overlap rejected" test_cloak_range_overlap_rejected;
-          QCheck_alcotest.to_alcotest prop_state_machine;
+          Qseed.to_alcotest prop_state_machine;
         ] );
       ( "shadows",
         [
@@ -587,7 +587,7 @@ let () =
           quick "truncation rejected" test_import_rejects_truncation;
           quick "stale generation rejected" test_import_rejects_stale_generation;
           quick "torn export rejected" test_import_rejects_torn_export;
-          QCheck_alcotest.to_alcotest prop_export_import_roundtrip;
+          Qseed.to_alcotest prop_export_import_roundtrip;
         ] );
       ( "reclamation and quarantine",
         [

@@ -208,84 +208,70 @@ let test_receiver_key_drop_without_scrub_flagged () =
 
 (* --- every harness subcommand's exit code tracks its verdict --- *)
 
-let test_chaos_exit_code () =
-  let v = Harness.Chaos.run_seeds ~seeds:[ 1 ] () in
-  Alcotest.(check int) "green chaos verdict exits 0" 0
-    (Harness.Chaos.exit_code v);
-  Alcotest.(check int) "any failure exits 1" 1
-    (Harness.Chaos.exit_code
-       { v with Harness.Chaos.failures = [ (1, "boom") ] })
+module S = Harness.Scenario
+
+(* A green one-seed verdict exits 0, and the same seeds carrying one more
+   failure (from any cell) exit 1. *)
+let check_exit_code sc seed =
+  let v = S.run sc ~seeds:[ seed ] in
+  Alcotest.(check (list string)) "green verdict" [] v.failures;
+  Alcotest.(check int) "green verdict exits 0" 0 (S.exit_code v);
+  let failed = List.map (fun (s : _ S.seed) -> { s with failures = [ "boom" ] }) v.seeds in
+  Alcotest.(check int) "any failure exits 1" 1 (S.exit_code (S.summarize sc failed));
+  v
+
+let test_chaos_exit_code () = ignore (check_exit_code Harness.Chaos.scenario 1)
 
 let test_soak_exit_code () =
   (* seed 150465's plan restarts the service under supervision and kills
      the unsupervised baseline early, so the strict-win clause holds on a
      single seed *)
-  let v = Harness.Soak.run_seeds ~seeds:[ 150465 ] () in
-  Alcotest.(check int) "green soak verdict exits 0" 0
-    (Harness.Soak.exit_code v);
-  Alcotest.(check int) "any failure exits 1" 1
-    (Harness.Soak.exit_code { v with Harness.Soak.failures = [ (1, "boom") ] });
+  let v = check_exit_code Harness.Soak.scenario 150465 in
+  let tie =
+    List.map
+      (fun (s : _ S.seed) ->
+        { s with report = { s.report with Harness.Soak.units_sup = s.report.Harness.Soak.units_unsup } })
+      v.seeds
+  in
   Alcotest.(check int) "a goodput tie is not a win" 1
-    (Harness.Soak.exit_code
-       { v with Harness.Soak.total_units_sup = v.Harness.Soak.total_units_unsup })
+    (S.exit_code (S.summarize Harness.Soak.scenario tie))
 
 let test_migrate_exit_code () =
-  let v = Harness.Migrate.run_seeds ~seeds:[ 7 ] () in
-  let c = Harness.Migrate.run_crash_matrix ~per_site:1 ~seeds:[ 7 ] () in
-  Alcotest.(check int) "green migrate verdict exits 0" 0
-    (Harness.Migrate.exit_code v c);
-  Alcotest.(check int) "a sweep failure exits 1" 1
-    (Harness.Migrate.exit_code
-       { v with Harness.Migrate.failures = [ (7, "boom") ] }
-       c);
-  Alcotest.(check int) "a crash-matrix failure exits 1" 1
-    (Harness.Migrate.exit_code v
-       { c with Harness.Migrate.matrix_failures = [ ("point", "boom") ] })
+  (* the first seed of a sweep also runs the channel-site crash matrix,
+     so its cells are inside the green verdict *)
+  let v = check_exit_code Harness.Migrate.scenario 7 in
+  Alcotest.(check bool) "crash matrix ran" true (S.int v "crash_points" > 0)
 
-let test_fleet_exit_code () =
-  let v = Harness.Fleet.run_seeds ~seeds:[ 1 ] () in
-  Alcotest.(check int) "green fleet verdict exits 0" 0
-    (Harness.Fleet.exit_code v);
-  Alcotest.(check int) "any failure exits 1" 1
-    (Harness.Fleet.exit_code
-       { v with Harness.Fleet.failures = [ (1, "boom") ] })
+let test_fleet_exit_code () = ignore (check_exit_code Harness.Fleet.scenario 1)
 
 (* --- the fleet sweep: supervision wins, exactly-once failover --- *)
 
-let fleet_seeds = Harness.Fleet.seeds_from ~base:1 ~count:3
+let fleet_seeds = S.seeds_from ~base:1 ~count:3
 
 let test_fleet_invariants () =
-  let v = Harness.Fleet.run_seeds ~seeds:fleet_seeds () in
-  List.iter
-    (fun (seed, what) -> Printf.printf "seed %d: %s\n%!" seed what)
-    v.Harness.Fleet.failures;
-  Alcotest.(check (list (pair int string))) "no invariant failures" []
-    v.Harness.Fleet.failures;
-  Alcotest.(check int) "all seeds ran" (List.length fleet_seeds)
-    v.Harness.Fleet.seeds_run;
+  let v = S.run Harness.Fleet.scenario ~seeds:fleet_seeds in
+  Alcotest.(check (list string)) "no invariant failures" [] v.failures;
+  Alcotest.(check int) "all seeds ran" (List.length fleet_seeds) (S.int v "seeds");
   (* each seed's hostile and blackhole runs both kill a host *)
   Alcotest.(check bool) "the antagonist drew blood" true
-    (v.Harness.Fleet.total_deaths >= 2 * List.length fleet_seeds);
-  Alcotest.(check bool) "failovers committed" true
-    (v.Harness.Fleet.total_failovers >= 1);
-  Alcotest.(check int) "no failover ever resumed twice" 0
-    v.Harness.Fleet.total_double_resumes;
+    (S.int v "deaths" >= 2 * List.length fleet_seeds);
+  Alcotest.(check bool) "failovers committed" true (S.int v "failovers" >= 1);
+  Alcotest.(check int) "no failover ever resumed twice" 0 (S.int v "double_resumes");
   Alcotest.(check bool) "fault-free SLO: >= 99% within budget" true
-    (v.Harness.Fleet.ff_budget_pct >= 99.0);
+    (S.float v "ff_budget_pct_worst" >= 99.0);
   (* the acceptance bar: the supervised fleet strictly out-serves the
      same arrivals with no supervisor *)
   Alcotest.(check bool) "supervised goodput strictly beats unsupervised" true
-    (v.Harness.Fleet.sup_goodput > v.Harness.Fleet.unsup_goodput);
+    (S.int v "goodput_supervised" > S.int v "goodput_unsupervised");
   (* every shed is typed: the taxonomy accounts for each rejection *)
   List.iter
-    (fun (r : Harness.Fleet.seed_report) ->
+    (fun (s : Harness.Fleet.seed_report S.seed) ->
+      let r = s.report in
       Alcotest.(check int)
-        (Printf.sprintf "seed %d: typed reasons cover every shed"
-           r.Harness.Fleet.seed)
-        r.Harness.Fleet.sheds
-        (r.Harness.Fleet.sheds_overload + r.Harness.Fleet.sheds_draining
-       + r.Harness.Fleet.sheds_no_capacity))
-    v.Harness.Fleet.reports
+        (Printf.sprintf "seed %d: typed reasons cover every shed" s.seed)
+        r.sheds
+        (r.sheds_overload + r.sheds_draining + r.sheds_no_capacity))
+    v.seeds
 
 let () =
   Alcotest.run "fleet"

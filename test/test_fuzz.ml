@@ -187,6 +187,6 @@ let () =
   Alcotest.run "fuzz"
     [
       ( "syscall sequences",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Qseed.to_alcotest
           [ prop_native_never_crashes; prop_cloaked_never_crashes; prop_deterministic ] );
     ]

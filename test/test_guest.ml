@@ -331,7 +331,7 @@ let () =
           quick "read past eof" test_fs_read_past_eof;
           quick "writeback and reload" test_fs_writeback_and_reload;
           quick "truncate frees blocks" test_fs_truncate_frees_blocks;
-          QCheck_alcotest.to_alcotest prop_fs_random_io;
+          Qseed.to_alcotest prop_fs_random_io;
         ] );
       ( "blockdev",
         [

@@ -219,7 +219,7 @@ let () =
         [
           quick "split" test_addr_split;
           quick "pages spanned" test_pages_spanned;
-          QCheck_alcotest.to_alcotest prop_addr_roundtrip;
+          Qseed.to_alcotest prop_addr_roundtrip;
         ] );
       ( "phys_mem",
         [
@@ -243,7 +243,7 @@ let () =
           quick "hit/miss" test_tlb_hit_miss;
           quick "flushes" test_tlb_flushes;
           quick "validation" test_tlb_validation;
-          QCheck_alcotest.to_alcotest prop_tlb_insert_lookup;
+          Qseed.to_alcotest prop_tlb_insert_lookup;
         ] );
       ( "cost",
         [ quick "accounting" test_cost_accounting; quick "crypto" test_cost_crypto_charge ] );

@@ -11,11 +11,6 @@ let policy = Harness.Migrate.policy
 
 let fresh_vmm () = Cloak.Vmm.create ~config:vconfig ()
 
-let is_stale = function
-  | Cloak.Violation.Security_fault { kind = Cloak.Violation.Stale_checkpoint; _ } ->
-      true
-  | _ -> false
-
 (* --- the frame codec --- *)
 
 let frames_equal a b =
@@ -175,6 +170,23 @@ let prop_mangled_stream_identical_or_refused =
       | Some b -> Bytes.equal b blob
       | None -> not (Cloak.Migrate.committed rcv))
 
+(* blob=0: an empty checkpoint is sized from the OFFER manifest and
+   commits zero chunks, over a channel that loses nothing *)
+let test_empty_blob () =
+  let vmm = fresh_vmm () in
+  let snd = Cloak.Migrate.sender vmm ~session:"empty" Bytes.empty in
+  let rcv = Cloak.Migrate.receiver vmm ~session:"empty" in
+  Alcotest.(check int) "zero chunks" 0 (Cloak.Migrate.nchunks snd);
+  Alcotest.(check int) "nothing outstanding" 0 (Cloak.Migrate.outstanding snd);
+  let deliver w = List.iter (Cloak.Migrate.absorb_ack snd) (Cloak.Migrate.deliver rcv w) in
+  List.iter deliver (Cloak.Migrate.offer_wire snd :: Cloak.Migrate.chunk_wires snd);
+  Alcotest.(check bool) "sender saw READY" true (Cloak.Migrate.ready snd);
+  deliver (Cloak.Migrate.commit_wire snd);
+  Alcotest.(check bool) "commit acked" true (Cloak.Migrate.commit_acked snd);
+  Alcotest.(check bool) "receiver committed" true (Cloak.Migrate.committed rcv);
+  Alcotest.(check (option bytes)) "the empty blob arrived" (Some Bytes.empty)
+    (Cloak.Migrate.blob rcv)
+
 (* --- retry: deadlines and jitter --- *)
 
 exception Flaky
@@ -274,14 +286,14 @@ let test_drain_adopt_cross_vmm () =
   (* single-use: the destination consumed the generation at install *)
   (match Kernel.adopt_migrated kb ~policy ~prog:Harness.Migrate.service blob with
   | _ -> Alcotest.fail "blob adopted twice at the destination"
-  | exception e when is_stale e -> ());
+  | exception e when Cloak.Violation.is_stale e -> ());
   (* the fence: once A retires the generation, A refuses the blob too *)
   let tag = Cloak.Resource.tag (Cloak.Resource.Anon pid) in
   let gen = Cloak.Vmm.seal_generation vmm_a ~tag in
   Cloak.Vmm.retire_seal_generation vmm_a ~tag ~gen;
   match Cloak.Seal.unseal vmm_a blob with
   | _ -> Alcotest.fail "source unsealed the blob after the fence"
-  | exception e when is_stale e -> ()
+  | exception e when Cloak.Violation.is_stale e -> ()
 
 let test_drain_abort_resumes_source () =
   let vmm = fresh_vmm () in
@@ -331,36 +343,38 @@ let test_adopt_tampered_blob_refused () =
 
 (* --- the full harness --- *)
 
-let test_migration_sweep () =
-  let seeds = List.init 20 (fun i -> 101 + i) in
-  let v = Harness.Migrate.run_seeds ~seeds () in
-  (match v.Harness.Migrate.failures with
+module S = Harness.Scenario
+
+(* One 20-seed sweep serves both checks: its first three seeds also run
+   the crash matrix on the channel sites. *)
+let sweep = lazy (S.run Harness.Migrate.scenario ~seeds:(List.init 20 (fun i -> 101 + i)))
+
+let no_failures v =
+  match v.S.failures with
   | [] -> ()
-  | (seed, what) :: _ ->
-      Alcotest.failf "%d invariant failure(s); first: seed %d: %s"
-        (List.length v.Harness.Migrate.failures) seed what);
-  Alcotest.(check int) "every clean migration committed" v.Harness.Migrate.seeds_run
-    v.Harness.Migrate.clean_committed;
+  | first :: _ ->
+      Alcotest.failf "%d invariant failure(s); first: %s" (List.length v.S.failures) first
+
+let test_migration_sweep () =
+  let v = Lazy.force sweep in
+  no_failures v;
+  Alcotest.(check int) "every clean migration committed" (S.int v "seeds")
+    (S.int v "clean_committed");
   Alcotest.(check bool) "the hostile plans actually cost retries or MAC rejects" true
-    (v.Harness.Migrate.total_retries > 0 || v.Harness.Migrate.total_mac_failures > 0);
+    (S.int v "retries" > 0 || S.int v "chunk_mac_failures" > 0);
   Alcotest.(check bool) "every blackhole run tripped the breaker" true
-    (v.Harness.Migrate.total_breaker_trips >= v.Harness.Migrate.seeds_run);
+    (S.int v "breaker_trips" >= S.int v "seeds");
   Alcotest.(check bool) "downtime percentiles populated" true
-    (v.Harness.Migrate.p50_downtime > 0
-    && v.Harness.Migrate.p95_downtime >= v.Harness.Migrate.p50_downtime)
+    (S.int v "downtime_p50_cycles" > 0
+    && S.int v "downtime_p95_cycles" >= S.int v "downtime_p50_cycles")
 
 let test_crash_matrix () =
-  let c = Harness.Migrate.run_crash_matrix ~seeds:[ 101; 102; 103 ] () in
-  (match c.Harness.Migrate.matrix_failures with
-  | [] -> ()
-  | (point, what) :: _ ->
-      Alcotest.failf "%d crash failure(s); first: %s: %s"
-        (List.length c.Harness.Migrate.matrix_failures)
-        point what);
+  let v = Lazy.force sweep in
+  no_failures v;
   Alcotest.(check bool) "crash points covered every channel site" true
-    (c.Harness.Migrate.crash_points >= 9);
+    (S.int v "crash_points" >= 9);
   Alcotest.(check bool) "some crashes landed after the fence" true
-    (c.Harness.Migrate.crash_fenced > 0)
+    (S.int v "crash_fenced" > 0)
 
 let () =
   Alcotest.run "migrate"
@@ -370,9 +384,10 @@ let () =
           Alcotest.test_case "round trip" `Quick test_codec_roundtrip;
           Alcotest.test_case "flip/truncate/cross-session rejected" `Quick
             test_codec_rejects;
+          Alcotest.test_case "blob=0 commits zero chunks" `Quick test_empty_blob;
         ] );
       ( "fuzz",
-        [ QCheck_alcotest.to_alcotest prop_mangled_stream_identical_or_refused ] );
+        [ Qseed.to_alcotest prop_mangled_stream_identical_or_refused ] );
       ( "retry",
         [
           Alcotest.test_case "deadline bounds cumulative backoff" `Quick

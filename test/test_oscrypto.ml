@@ -159,13 +159,9 @@ let test_prng_bytes_len () =
 
 (* --- Properties ---
 
-   Every property draws from its own generator state seeded with [seed],
-   which is printed at start-up, so any failure replays exactly. *)
-
-let seed = 0x05ad0c12
-
-let to_alcotest test =
-  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test
+   Every property draws from its own generator state seeded with
+   [Qseed.seed], which is printed at start-up, so any failure replays
+   exactly. *)
 
 let bytes_gen = QCheck.Gen.(map Bytes.of_string (string_size (int_range 0 512)))
 let bytes_arb = QCheck.make ~print:(fun b -> Sha256.hex b) bytes_gen
@@ -255,7 +251,6 @@ let prop_block_matches_reference =
         (Aes_ref.encrypt_block (Aes_ref.expand key) block))
 
 let () =
-  Printf.printf "oscrypto qcheck seed: %d\n%!" seed;
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "oscrypto"
     [
@@ -288,7 +283,7 @@ let () =
           quick "bytes length" test_prng_bytes_len;
         ] );
       ( "properties",
-        List.map to_alcotest
+        List.map Qseed.to_alcotest
           [
             prop_ctr_involution;
             prop_ctr_changes_data;

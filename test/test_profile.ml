@@ -216,9 +216,9 @@ let () =
     [
       ( "attribution",
         [
-          QCheck_alcotest.to_alcotest prop_conservation;
-          QCheck_alcotest.to_alcotest prop_self_nonneg;
-          QCheck_alcotest.to_alcotest prop_collapsed_round_trip;
+          Qseed.to_alcotest prop_conservation;
+          Qseed.to_alcotest prop_self_nonneg;
+          Qseed.to_alcotest prop_collapsed_round_trip;
         ] );
       ( "real runs",
         [

@@ -152,36 +152,35 @@ let test_journal_wrong_key_recovers_nothing () =
    target runs the full 20-seed sweep through the CLI) --- *)
 
 let test_crash_matrix () =
-  let v =
-    Harness.Crash.run_matrix ~per_site:3
-      ~seeds:(Harness.Crash.seeds_from ~base:11 ~count:5)
-      ()
-  in
-  List.iter
-    (fun (seed, what) -> Printf.printf "seed %d: %s\n%!" seed what)
-    v.Harness.Crash.failures;
-  Alcotest.(check (list (pair int string))) "no invariant failures" []
-    v.Harness.Crash.failures;
+  let module S = Harness.Scenario in
+  let v = S.run Harness.Crash.scenario ~seeds:(S.seeds_from ~base:11 ~count:5) in
+  Alcotest.(check (list string)) "no invariant failures" [] v.failures;
   Alcotest.(check int) "every sampled point actually crashed"
-    v.Harness.Crash.points v.Harness.Crash.crashes;
+    (S.int v "crash_points") (S.int v "crashes_fired");
   List.iter
-    (fun (site, n) ->
+    (fun site ->
+      let site = Inject.site_to_string site in
+      let sites = Option.get (Report.member "sites" (Report.Obj v.metrics)) in
       Alcotest.(check bool)
-        (Printf.sprintf "site %s covered" (Inject.site_to_string site))
-        true (n > 0))
-    v.Harness.Crash.site_points;
+        (Printf.sprintf "site %s covered" site)
+        true
+        (Option.bind (Report.member site sites) Report.to_int > Some 0))
+    Harness.Crash.crash_sites;
+  let quarantined =
+    List.concat_map (fun (s : _ S.seed) -> s.report.Harness.Crash.outcomes) v.seeds
+    |> S.sum (fun o -> o.Harness.Crash.quarantined)
+  in
   Alcotest.(check bool) "matrix saw committed data" true
-    (v.Harness.Crash.committed_total > 0);
+    (S.int v "recovered_committed" > 0);
   Alcotest.(check bool) "matrix saw torn pages quarantined" true
-    (v.Harness.Crash.torn_total > 0
-    && v.Harness.Crash.quarantined_total > 0)
+    (S.int v "torn_quarantined" > 0 && quarantined > 0)
 
 let test_crash_point_deterministic () =
   let point = { Harness.Crash.site = Inject.Blk_write; occurrence = 23 } in
   let a = Harness.Crash.run_point ~seed:1 point in
   let b = Harness.Crash.run_point ~seed:1 point in
-  Alcotest.(check (list string)) "same crash, same story" a.Harness.Crash.audit
-    b.Harness.Crash.audit
+  Alcotest.(check (list string)) "same crash, same story" a.Harness.Crash.hdr.audit
+    b.Harness.Crash.hdr.audit
 
 let test_recovery_of_clean_run () =
   (* no crash: everything synced must come back committed, nothing torn *)
@@ -191,6 +190,8 @@ let test_recovery_of_clean_run () =
   in
   Alcotest.(check bool) "no power cut fired" false o.Harness.Crash.crashed;
   Alcotest.(check (list string)) "invariants hold" [] o.Harness.Crash.failures;
+  Alcotest.(check (list string)) "trace invariants hold" []
+    o.Harness.Crash.hdr.trace_failures;
   Alcotest.(check int) "nothing torn" 0 o.Harness.Crash.torn;
   Alcotest.(check bool) "committed pages recovered" true
     (o.Harness.Crash.committed >= o.Harness.Crash.ledger_committed

@@ -210,7 +210,7 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_first_crossing;
-          QCheck_alcotest.to_alcotest prop_jitter_never_shrinks;
+          Qseed.to_alcotest prop_first_crossing;
+          Qseed.to_alcotest prop_jitter_never_shrinks;
         ] );
     ]

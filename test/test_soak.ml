@@ -196,8 +196,9 @@ let test_tampered_checkpoint_refused () =
    every unit, from sealed checkpoints, without tripping any invariant,
    while the unsupervised baseline dies almost immediately. *)
 let test_restart_recovers_state () =
-  let r = Harness.Soak.run_seed ~seed:150465 in
-  Alcotest.(check (list string)) "all soak invariants hold" [] r.Harness.Soak.failures;
+  let s = Harness.Scenario.run_one Harness.Soak.scenario ~seed:150465 in
+  let r = s.report in
+  Alcotest.(check (list string)) "all soak invariants hold" [] s.failures;
   Alcotest.(check bool) "the plan killed the service at least once" true
     (r.Harness.Soak.restarts >= 1);
   Alcotest.(check int) "every unit of work completed" Harness.Soak.rounds
@@ -236,34 +237,29 @@ let test_audit_ring_window_deterministic () =
 
 (* --- the full soak: 20 seeds, all three invariants, strict win --- *)
 
-let soak_seeds = Harness.Chaos.seeds_from ~base:1 ~count:20
+let soak_seeds = Harness.Scenario.seeds_from ~base:1 ~count:20
 
 let test_soak_invariants () =
-  let v = Harness.Soak.run_seeds ~seeds:soak_seeds () in
-  List.iter
-    (fun (seed, what) -> Printf.printf "seed %d: %s\n%!" seed what)
-    v.Harness.Soak.failures;
-  Alcotest.(check (list (pair int string))) "no invariant failures" []
-    v.Harness.Soak.failures;
-  Alcotest.(check int) "all seeds ran" (List.length soak_seeds)
-    v.Harness.Soak.seeds_run;
+  let module S = Harness.Scenario in
+  let v = S.run Harness.Soak.scenario ~seeds:soak_seeds in
+  Alcotest.(check (list string)) "no invariant failures" [] v.failures;
+  Alcotest.(check int) "all seeds ran" (List.length soak_seeds) (S.int v "seeds");
   Alcotest.(check bool) "the plans actually restarted the service" true
-    (v.Harness.Soak.total_restarts > 0);
-  Alcotest.(check bool) "checkpoints were sealed" true
-    (v.Harness.Soak.total_checkpoints > 0);
+    (S.int v "restarts" > 0);
+  Alcotest.(check bool) "checkpoints were sealed" true (S.int v "checkpoints" > 0);
   (* the acceptance bar: supervision strictly beats its absence *)
   Alcotest.(check bool) "supervised useful work strictly exceeds unsupervised"
     true
-    (v.Harness.Soak.total_units_sup > v.Harness.Soak.total_units_unsup)
+    (S.int v "units_supervised" > S.int v "units_unsupervised")
 
 let () =
   Alcotest.run "soak"
     [
       ( "retry",
         [
-          QCheck_alcotest.to_alcotest prop_retry_attempts_bounded;
-          QCheck_alcotest.to_alcotest prop_retry_backoff_increasing;
-          QCheck_alcotest.to_alcotest prop_retry_success_charges_exactly_k;
+          Qseed.to_alcotest prop_retry_attempts_bounded;
+          Qseed.to_alcotest prop_retry_backoff_increasing;
+          Qseed.to_alcotest prop_retry_success_charges_exactly_k;
           Alcotest.test_case "non-retryable propagates" `Quick
             test_retry_non_retryable_propagates;
         ] );

@@ -294,14 +294,14 @@ let () =
     [
       ( "merge algebra",
         [
-          QCheck_alcotest.to_alcotest prop_hist_merge_associative;
-          QCheck_alcotest.to_alcotest prop_hist_merge_commutative;
-          QCheck_alcotest.to_alcotest prop_percentile_bounds_merge;
-          QCheck_alcotest.to_alcotest prop_registry_merge_orders_agree;
+          Qseed.to_alcotest prop_hist_merge_associative;
+          Qseed.to_alcotest prop_hist_merge_commutative;
+          Qseed.to_alcotest prop_percentile_bounds_merge;
+          Qseed.to_alcotest prop_registry_merge_orders_agree;
         ] );
       ( "windows",
         [
-          QCheck_alcotest.to_alcotest prop_window_no_double_count;
+          Qseed.to_alcotest prop_window_no_double_count;
           quick "boundary" test_window_boundary;
         ] );
       ( "registry",

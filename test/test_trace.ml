@@ -197,7 +197,7 @@ let test_check_skips_truncated_ring () =
 
 let test_chaos_run_green () =
   let r = Harness.Chaos.run_once ~seed:3 in
-  Alcotest.(check (list string)) "no trace failures" [] r.Harness.Chaos.trace_failures;
+  Alcotest.(check (list string)) "no trace failures" [] r.Harness.Chaos.hdr.trace_failures;
   Alcotest.(check int) "nothing evicted" 0 r.Harness.Chaos.trace_dropped
 
 let contains s sub =
@@ -252,12 +252,12 @@ let () =
     [
       ( "ring",
         [
-          QCheck_alcotest.to_alcotest prop_ring_wraparound;
-          QCheck_alcotest.to_alcotest prop_ring_count_monotone;
+          Qseed.to_alcotest prop_ring_wraparound;
+          Qseed.to_alcotest prop_ring_count_monotone;
         ] );
       ( "hist",
         [
-          QCheck_alcotest.to_alcotest prop_percentile_brackets;
+          Qseed.to_alcotest prop_percentile_brackets;
           quick "buckets" test_hist_buckets;
         ] );
       ( "spans",
