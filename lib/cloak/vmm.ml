@@ -45,6 +45,11 @@ type t = {
   shadows : (shadow_key, (Addr.vpn, spte) Hashtbl.t) Hashtbl.t;
   shadow_ids : (shadow_key, int) Hashtbl.t;
   mutable next_shadow_id : int;
+  (* [shadow_id]'s one-entry memo: the last (asid, view) looked up and its
+     id. Ids are never reassigned, so the memo never goes stale. *)
+  mutable memo_asid : int;
+  mutable memo_view : Context.view;
+  mutable memo_id : int;
   meta : Metadata.t;
   ranges : (int, range list ref) Hashtbl.t;        (* asid -> placements *)
   bound : (Addr.ppn, Resource.t * int) Hashtbl.t;  (* physmap cloak lookups *)
@@ -89,6 +94,9 @@ let create ?(config = default_config) ?engine ?(trace = Trace.null) () =
     shadows = Hashtbl.create 16;
     shadow_ids = Hashtbl.create 16;
     next_shadow_id = 0;
+    memo_asid = -1;
+    memo_view = Context.App;
+    memo_id = -1;
     meta = Metadata.create ();
     ranges = Hashtbl.create 16;
     bound = Hashtbl.create 256;
@@ -301,15 +309,26 @@ let shadow t ctx =
       Hashtbl.add t.shadows key table;
       table
 
-let shadow_id t ctx =
-  let key = shadow_key ctx in
-  match Hashtbl.find_opt t.shadow_ids key with
-  | Some id -> id
-  | None ->
-      let id = t.next_shadow_id in
-      t.next_shadow_id <- id + 1;
-      Hashtbl.add t.shadow_ids key id;
-      id
+(* Ids are numbered in first-use order; TLB slot placement hashes them, so
+   the numbering is part of the modelled behaviour (miss counts). *)
+let shadow_id t (ctx : Context.t) =
+  if ctx.asid = t.memo_asid && ctx.view = t.memo_view then t.memo_id
+  else begin
+    let key = shadow_key ctx in
+    let id =
+      match Hashtbl.find_opt t.shadow_ids key with
+      | Some id -> id
+      | None ->
+          let id = t.next_shadow_id in
+          t.next_shadow_id <- id + 1;
+          Hashtbl.add t.shadow_ids key id;
+          id
+    in
+    t.memo_asid <- ctx.asid;
+    t.memo_view <- ctx.view;
+    t.memo_id <- id;
+    id
+  end
 
 let drop_shadow t key =
   (match Hashtbl.find_opt t.shadow_ids key with
@@ -657,21 +676,23 @@ and fill_body t (ctx : Context.t) access vpn table sid =
 let translate t ~ctx ~access ~vpn =
   let ctx = effective t ctx in
   let sid = shadow_id t ctx in
-  match Tlb.lookup t.tlb ~shadow:sid ~vpn with
-  | Some e when access = Fault.Read || e.writable ->
-      t.counters.tlb_hits <- t.counters.tlb_hits + 1;
-      e.mpn
-  | Some _ | None -> (
-      t.counters.tlb_misses <- t.counters.tlb_misses + 1;
-      Trace.span_enter t.trace ~page:vpn Trace.Shadow_walk;
-      charge t (Cost.model t.cost).shadow_walk;
-      Trace.span_exit t.trace ~page:vpn Trace.Shadow_walk;
-      let table = shadow t ctx in
-      match Hashtbl.find_opt table vpn with
-      | Some spte when access = Fault.Read || spte.writable ->
-          Tlb.insert t.tlb { shadow = sid; vpn; mpn = spte.mpn; writable = spte.writable };
-          spte.mpn
-      | Some _ | None -> fill t ctx access vpn table sid)
+  let mpn = Tlb.query t.tlb ~shadow:sid ~vpn ~access in
+  if mpn >= 0 then begin
+    t.counters.tlb_hits <- t.counters.tlb_hits + 1;
+    mpn
+  end
+  else begin
+    t.counters.tlb_misses <- t.counters.tlb_misses + 1;
+    Trace.span_enter t.trace ~page:vpn Trace.Shadow_walk;
+    charge t (Cost.model t.cost).shadow_walk;
+    Trace.span_exit t.trace ~page:vpn Trace.Shadow_walk;
+    let table = shadow t ctx in
+    match Hashtbl.find_opt table vpn with
+    | Some spte when access = Fault.Read || spte.writable ->
+        Tlb.insert t.tlb { shadow = sid; vpn; mpn = spte.mpn; writable = spte.writable };
+        spte.mpn
+    | Some _ | None -> fill t ctx access vpn table sid
+  end
 
 (* --- virtual access --- *)
 
@@ -710,6 +731,32 @@ let write_byte t ~ctx ~vaddr v =
   let mpn = translate t ~ctx ~access:Fault.Write ~vpn:(Addr.vpn_of_vaddr vaddr) in
   charge t (Cost.model t.cost).mem_access;
   Phys_mem.set_byte t.mem mpn ~off:(Addr.offset_of_vaddr vaddr) v
+
+(* One 64-bit little-endian word, translated once when it sits inside a
+   page; a word straddling two pages takes the segment path. Either way the
+   charge is [read]/[write]'s for 8 bytes. *)
+let read_word t ~ctx ~vaddr =
+  let off = Addr.offset_of_vaddr vaddr in
+  if off > Addr.page_size - 8 then
+    Int64.to_int (Bytes.get_int64_le (read t ~ctx ~vaddr ~len:8) 0)
+  else begin
+    let mpn = translate t ~ctx ~access:Fault.Read ~vpn:(Addr.vpn_of_vaddr vaddr) in
+    charge t (Cost.model t.cost).mem_access;
+    Int64.to_int (Bytes.get_int64_le (page_bytes t mpn) off)
+  end
+
+let write_word t ~ctx ~vaddr v =
+  let off = Addr.offset_of_vaddr vaddr in
+  if off > Addr.page_size - 8 then begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int v);
+    write t ~ctx ~vaddr b
+  end
+  else begin
+    let mpn = translate t ~ctx ~access:Fault.Write ~vpn:(Addr.vpn_of_vaddr vaddr) in
+    charge t (Cost.model t.cost).mem_access;
+    Bytes.set_int64_le (page_bytes t mpn) off (Int64.of_int v)
+  end
 
 let touch t ~ctx ~access ~vaddr ~len =
   iter_segments vaddr len (fun ~vpn ~off:_ ~pos:_ ~chunk ->

@@ -110,6 +110,14 @@ val write : t -> ctx:Context.t -> vaddr:Addr.vaddr -> bytes -> unit
 val read_byte : t -> ctx:Context.t -> vaddr:Addr.vaddr -> int
 val write_byte : t -> ctx:Context.t -> vaddr:Addr.vaddr -> int -> unit
 
+val read_word : t -> ctx:Context.t -> vaddr:Addr.vaddr -> int
+(** The 64-bit little-endian word at [vaddr], charged as an 8-byte {!read}.
+    Allocates nothing on a TLB hit. *)
+
+val write_word : t -> ctx:Context.t -> vaddr:Addr.vaddr -> int -> unit
+(** Store a 64-bit little-endian word, charged as an 8-byte {!write}.
+    Allocates nothing on a TLB hit. *)
+
 val touch : t -> ctx:Context.t -> access:Fault.access -> vaddr:Addr.vaddr -> len:int -> unit
 (** Translate (and charge for) an access without materializing data — the
     fast path for compute-bound workload inner loops. *)

@@ -6,7 +6,7 @@ exception Bad_block of { op : string; block : int; reason : string }
 type t = {
   vmm : Cloak.Vmm.t;
   name : string;
-  store : bytes array;
+  store : bytes array;  (* [zero_page] until the block's first write *)
   allocated : bool array;
   reserved : int;
   mutable free : int list;
@@ -16,6 +16,20 @@ type t = {
          waiting to swap it with the next write's *)
 }
 
+(* The one backing of every never-written block on every device. It is
+   shared across devices and VMMs, so it is only ever read: each write path
+   goes through [block], which gives the block its own bytes first. *)
+let zero_page = Bytes.make Addr.page_size '\000'
+
+let block t b =
+  let bytes = t.store.(b) in
+  if bytes != zero_page then bytes
+  else begin
+    let own = Bytes.make Addr.page_size '\000' in
+    t.store.(b) <- own;
+    own
+  end
+
 let create ?(name = "blk") ?(reserve = 0) ~vmm ~blocks () =
   if blocks <= 0 then invalid_arg "Blockdev.create: blocks must be positive";
   if reserve < 0 || reserve >= blocks then
@@ -23,7 +37,7 @@ let create ?(name = "blk") ?(reserve = 0) ~vmm ~blocks () =
   {
     vmm;
     name;
-    store = Array.init blocks (fun _ -> Bytes.make Addr.page_size '\000');
+    store = Array.make blocks zero_page;
     allocated = Array.make blocks false;
     reserved = reserve;
     free = [];
@@ -77,7 +91,8 @@ let free_block t b =
   | Some _ | None -> ());
   (match action with
   | Some Inject.Fail_scrub -> ()  (* disk remanence: freed block keeps its bytes *)
-  | Some _ | None -> Bytes.fill t.store.(b) 0 Addr.page_size '\000');
+  | Some _ | None ->
+      if t.store.(b) != zero_page then Bytes.fill t.store.(b) 0 Addr.page_size '\000');
   t.allocated.(b) <- false;
   t.free <- b :: t.free
 
@@ -128,8 +143,8 @@ and write_block_body t b ~ppn =
       (* complete a held-back write by swapping payloads: the earlier
          write's data lands here, ours lands on its block *)
       t.pending_reorder <- None;
-      Bytes.blit data 0 t.store.(b0) 0 Addr.page_size;
-      Bytes.blit d0 0 t.store.(b) 0 Addr.page_size
+      Bytes.blit data 0 (block t b0) 0 Addr.page_size;
+      Bytes.blit d0 0 (block t b) 0 Addr.page_size
   | None -> (
       (* only a clean, complete transfer earns a commit record: a torn,
          corrupted or held-back payload leaves the intent standing, so
@@ -137,19 +152,19 @@ and write_block_body t b ~ppn =
       match action with
       | Some Inject.Reorder -> t.pending_reorder <- Some (b, data)
       | Some (Inject.Torn_write keep) ->
-          Bytes.blit data 0 t.store.(b) 0 (max 0 (min keep Addr.page_size))
+          Bytes.blit data 0 (block t b) 0 (max 0 (min keep Addr.page_size))
       | Some (Inject.Bit_flip off) ->
           let d = Bytes.copy data in
           let i = off mod Addr.page_size in
           Bytes.set d i (Char.chr (Char.code (Bytes.get d i) lxor 1));
-          Bytes.blit d 0 t.store.(b) 0 Addr.page_size
+          Bytes.blit d 0 (block t b) 0 Addr.page_size
       | Some Inject.Crash_point ->
           (* power cut mid-DMA: half the payload lands, then the lights go
              out — the canonical torn page recovery must quarantine *)
-          Bytes.blit data 0 t.store.(b) 0 (Addr.page_size / 2);
+          Bytes.blit data 0 (block t b) 0 (Addr.page_size / 2);
           Inject.crashed Inject.Blk_write
       | Some _ | None ->
-          Bytes.blit data 0 t.store.(b) 0 Addr.page_size;
+          Bytes.blit data 0 (block t b) 0 Addr.page_size;
           Cloak.Vmm.journal_dma t.vmm `Commit ppn ~dev:t.name ~block:b)
 
 let rec write_raw t b data =
@@ -169,9 +184,9 @@ and write_raw_body t b data =
     (Cloak.Vmm.counters t.vmm).disk_writes + 1;
   match action with
   | Some Inject.Crash_point ->
-      Bytes.blit data 0 t.store.(b) 0 (Addr.page_size / 2);
+      Bytes.blit data 0 (block t b) 0 (Addr.page_size / 2);
       Inject.crashed Inject.Blk_write
-  | Some _ | None -> Bytes.blit data 0 t.store.(b) 0 Addr.page_size
+  | Some _ | None -> Bytes.blit data 0 (block t b) 0 Addr.page_size
 
 let peek t b =
   check t ~op:"peek" ~data_path:false b;
@@ -181,4 +196,4 @@ let poke t b data =
   check t ~op:"poke" ~data_path:false b;
   if Bytes.length data <> Addr.page_size then
     invalid_arg "Blockdev.poke: data must be one block";
-  Bytes.blit data 0 t.store.(b) 0 Addr.page_size
+  Bytes.blit data 0 (block t b) 0 Addr.page_size

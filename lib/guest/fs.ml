@@ -77,18 +77,14 @@ let resolve t path =
 let resolve_parent t path =
   match split_path path with
   | Error e -> Error e
-  | Ok [] -> Error Errno.EINVAL
   | Ok components -> (
-      let rec split_last acc = function
-        | [ leaf ] -> (List.rev acc, leaf)
-        | x :: rest -> split_last (x :: acc) rest
-        | [] -> assert false
-      in
-      let dirs, leaf = split_last [] components in
-      match walk t (inode t root_id) dirs with
-      | Error e -> Error e
-      | Ok dir when dir.kind <> `Dir -> Error Errno.ENOTDIR
-      | Ok dir -> Ok (dir, leaf))
+      match List.rev components with
+      | [] -> Error Errno.EINVAL
+      | leaf :: rev_dirs -> (
+          match walk t (inode t root_id) (List.rev rev_dirs) with
+          | Error e -> Error e
+          | Ok dir when dir.kind <> `Dir -> Error Errno.ENOTDIR
+          | Ok dir -> Ok (dir, leaf)))
 
 (* --- namespace operations --- *)
 

@@ -137,7 +137,7 @@ type t = {
   mutable next_ppn : int;
   mutable free_ppns : int list;
   resident : (int * Addr.vpn) Queue.t;  (* FIFO eviction candidates *)
-  mutable fs : Fs.t;  (* set once at the end of [create] *)
+  fs : Fs.t;
   disk : Blockdev.t;
   swap : Blockdev.t;
   pipes : (int, Pipe.t) Hashtbl.t;
@@ -222,7 +222,15 @@ let swap_in t proc vpn =
 (* --- construction --- *)
 
 let create ?(config = default_config) vmm =
-  let t =
+  let disk =
+    Blockdev.create ~name:"disk" ~reserve:config.journal_blocks ~vmm
+      ~blocks:config.fs_blocks ()
+  in
+  (* the filesystem allocates guest pages through the kernel it belongs to,
+     but never while it is being created: its closures force [t] only
+     after [t] exists *)
+  let rec t =
+    lazy
     {
       vmm;
       transfer = Cloak.Transfer.create ();
@@ -233,10 +241,11 @@ let create ?(config = default_config) vmm =
       next_ppn = 0;
       free_ppns = [];
       resident = Queue.create ();
-      fs = Obj.magic 0;  (* replaced below; Fs needs the allocator closures *)
-      disk =
-        Blockdev.create ~name:"disk" ~reserve:config.journal_blocks ~vmm
-          ~blocks:config.fs_blocks ();
+      fs =
+        Fs.create ~vmm ~dev:disk
+          ~alloc_ppn:(fun () -> alloc_ppn (Lazy.force t))
+          ~free_ppn:(fun ppn -> release_guest_page (Lazy.force t) ppn);
+      disk;
       swap = Blockdev.create ~name:"swap" ~vmm ~blocks:config.swap_blocks ();
       pipes = Hashtbl.create 16;
       next_pipe = 1;
@@ -245,10 +254,7 @@ let create ?(config = default_config) vmm =
       supervised = Hashtbl.create 8;
     }
   in
-  t.fs <-
-    Fs.create ~vmm ~dev:t.disk
-      ~alloc_ppn:(fun () -> alloc_ppn t)
-      ~free_ppn:(fun ppn -> release_guest_page t ppn);
+  let t = Lazy.force t in
   if config.journal_blocks > 0 then begin
     (* the journal lives in the reserved head of the disk, reached through
        the raw (host-side) path with the same bounded retry as swap I/O *)
@@ -1010,7 +1016,7 @@ let ensure_resident t proc vpn =
    (syscall boundary: the transfer context is saved, so proc.regs is the
    register image the VMM attested at kernel entry). Swapped pages are
    brought back first so the blob seals the authoritative ciphertext.
-   Returns the new journal-anchored seal generation. *)
+   Returns the new journal-anchored seal generation and the blob. *)
 let capture_checkpoint t proc sup =
   Cloak.Vmm.hypercall t.vmm;
   let resource = anon_resource proc in
@@ -1033,7 +1039,7 @@ let capture_checkpoint t proc sup =
   sup.checkpoint <- Some blob;
   sup.checkpoints <- sup.checkpoints + 1;
   sup.syscalls_since <- 0;
-  Cloak.Vmm.seal_generation t.vmm ~tag:(Cloak.Resource.tag resource)
+  (Cloak.Vmm.seal_generation t.vmm ~tag:(Cloak.Resource.tag resource), blob)
 
 let migrated_exit_status = -4
 
@@ -1041,7 +1047,7 @@ let sys_checkpoint t proc =
   match Hashtbl.find_opt t.supervised proc.pid with
   | None -> err Errno.EINVAL
   | Some sup -> (
-      let gen = capture_checkpoint t proc sup in
+      let gen, blob = capture_checkpoint t proc sup in
       match sup.migration with
       | None -> Done (Abi.Int gen)
       | Some handler -> (
@@ -1055,9 +1061,6 @@ let sys_checkpoint t proc =
           sup.migrations_attempted <- sup.migrations_attempted + 1;
           let c = Cloak.Vmm.counters t.vmm in
           c.mig_attempts <- c.mig_attempts + 1;
-          let blob =
-            match sup.checkpoint with Some b -> b | None -> assert false
-          in
           match handler blob with
           | Mig_abort ->
               (* graceful abort: nothing was staled; the syscall returns

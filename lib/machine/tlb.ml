@@ -9,10 +9,12 @@ let create ?engine ?(slots = 256) () =
 
 let slot_index t ~shadow ~vpn = (vpn lxor (shadow * 0x9E37)) land t.mask
 
-let lookup t ~shadow ~vpn =
+let query t ~shadow ~vpn ~access =
   match t.slots.(slot_index t ~shadow ~vpn) with
-  | Some e when e.shadow = shadow && e.vpn = vpn -> Some e
-  | Some _ | None -> None
+  | Some e
+    when e.shadow = shadow && e.vpn = vpn && (access = Fault.Read || e.writable) ->
+      e.mpn
+  | Some _ | None -> -1
 
 let insert t entry =
   match Inject.fire_opt t.engine Inject.Tlb_insert with

@@ -12,9 +12,11 @@ val create : ?engine:Inject.t -> ?slots:int -> unit -> t
     injection engine, inserts ({!Inject.Tlb_insert}) and guest-initiated
     invalidations ({!Inject.Tlb_flush}) become hostile-world hook points. *)
 
-val lookup : t -> shadow:int -> vpn:Addr.vpn -> entry option
-(** The entry for this shadow and VPN, if cached. The caller decides whether
-    the permissions suffice for the access at hand. *)
+val query : t -> shadow:int -> vpn:Addr.vpn -> access:Fault.access -> Addr.mpn
+(** The cached MPN for this shadow and VPN if the entry permits [access]
+    (a read hits any entry, a write only a writable one), or [-1] on a miss
+    or a permission failure. Allocates nothing: this is the hit path of
+    every simulated load and store. *)
 
 val insert : t -> entry -> unit
 val flush_all : t -> unit

@@ -3,6 +3,7 @@ open Guest
 
 type t = {
   env : Abi.env;
+  ctx : Cloak.Context.t;       (* the App view every access goes through *)
   mutable brk_vaddr : int;     (* cached break (exclusive) *)
   mutable tick_accum : int;    (* cycles since the last timer tick *)
   mutable bounce : Addr.vaddr; (* heap buffer for read_bytes/write_bytes *)
@@ -40,6 +41,7 @@ let expect_unit t call =
 let of_env env =
   {
     env;
+    ctx = Cloak.Context.app env.Abi.asid;
     brk_vaddr = env.Abi.heap_cursor;
     tick_accum = 0;
     bounce = 0;
@@ -47,8 +49,6 @@ let of_env env =
   }
 
 (* --- memory access with fault-retry --- *)
-
-let app_ctx t = Cloak.Context.app t.env.Abi.asid
 
 let rec with_fault_retry t f =
   try f ()
@@ -58,20 +58,43 @@ let rec with_fault_retry t f =
     with_fault_retry t f
 
 let load t ~vaddr ~len =
-  with_fault_retry t (fun () -> Cloak.Vmm.read t.env.Abi.vmm ~ctx:(app_ctx t) ~vaddr ~len)
+  with_fault_retry t (fun () -> Cloak.Vmm.read t.env.Abi.vmm ~ctx:t.ctx ~vaddr ~len)
 
 let store t ~vaddr data =
-  with_fault_retry t (fun () -> Cloak.Vmm.write t.env.Abi.vmm ~ctx:(app_ctx t) ~vaddr data)
-
-let load_byte t ~vaddr =
-  with_fault_retry t (fun () -> Cloak.Vmm.read_byte t.env.Abi.vmm ~ctx:(app_ctx t) ~vaddr)
-
-let store_byte t ~vaddr v =
-  with_fault_retry t (fun () -> Cloak.Vmm.write_byte t.env.Abi.vmm ~ctx:(app_ctx t) ~vaddr v)
+  with_fault_retry t (fun () -> Cloak.Vmm.write t.env.Abi.vmm ~ctx:t.ctx ~vaddr data)
 
 let touch t ~access ~vaddr ~len =
-  with_fault_retry t (fun () ->
-      Cloak.Vmm.touch t.env.Abi.vmm ~ctx:(app_ctx t) ~access ~vaddr ~len)
+  with_fault_retry t (fun () -> Cloak.Vmm.touch t.env.Abi.vmm ~ctx:t.ctx ~access ~vaddr ~len)
+
+(* The byte and word accessors are the inner loops of the workloads: the
+   same retry, spelled out so a TLB hit allocates no closure. *)
+let rec load_byte t ~vaddr =
+  match Cloak.Vmm.read_byte t.env.Abi.vmm ~ctx:t.ctx ~vaddr with
+  | v -> v
+  | exception Fault.Guest_page_fault pf ->
+      expect_unit t (Abi.Fault pf);
+      load_byte t ~vaddr
+
+let rec store_byte t ~vaddr v =
+  match Cloak.Vmm.write_byte t.env.Abi.vmm ~ctx:t.ctx ~vaddr v with
+  | () -> ()
+  | exception Fault.Guest_page_fault pf ->
+      expect_unit t (Abi.Fault pf);
+      store_byte t ~vaddr v
+
+let rec load_word t ~vaddr =
+  match Cloak.Vmm.read_word t.env.Abi.vmm ~ctx:t.ctx ~vaddr with
+  | v -> v
+  | exception Fault.Guest_page_fault pf ->
+      expect_unit t (Abi.Fault pf);
+      load_word t ~vaddr
+
+let rec store_word t ~vaddr v =
+  match Cloak.Vmm.write_word t.env.Abi.vmm ~ctx:t.ctx ~vaddr v with
+  | () -> ()
+  | exception Fault.Guest_page_fault pf ->
+      expect_unit t (Abi.Fault pf);
+      store_word t ~vaddr v
 
 (* --- heap --- *)
 

@@ -24,6 +24,11 @@ val store : t -> vaddr:Machine.Addr.vaddr -> bytes -> unit
 val load_byte : t -> vaddr:Machine.Addr.vaddr -> int
 val store_byte : t -> vaddr:Machine.Addr.vaddr -> int -> unit
 
+val load_word : t -> vaddr:Machine.Addr.vaddr -> int
+val store_word : t -> vaddr:Machine.Addr.vaddr -> int -> unit
+(** A 64-bit little-endian word, charged as an 8-byte {!load}/{!store}.
+    Like the byte accessors, a TLB hit allocates nothing. *)
+
 val touch : t -> access:Machine.Fault.access -> vaddr:Machine.Addr.vaddr -> len:int -> unit
 (** Charge for (and fault in) an access without materializing data; the
     fast path for compute-kernel inner loops. *)

@@ -8,14 +8,11 @@ let check t i = if i < 0 || i >= t.elems then invalid_arg "Membuf: index out of 
 
 let get t i =
   check t i;
-  let b = Uapi.load t.u ~vaddr:(t.base + (8 * i)) ~len:8 in
-  Int64.to_int (Bytes.get_int64_le b 0)
+  Uapi.load_word t.u ~vaddr:(t.base + (8 * i))
 
 let set t i v =
   check t i;
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Uapi.store t.u ~vaddr:(t.base + (8 * i)) b
+  Uapi.store_word t.u ~vaddr:(t.base + (8 * i)) v
 
 type bytes_view = { bu : Uapi.t; bbase : Machine.Addr.vaddr; blen : int }
 

@@ -188,6 +188,123 @@ let test_blockdev_dma_roundtrip () =
   Alcotest.(check int) "reads counted" 1 c.Counters.disk_reads;
   Alcotest.(check int) "writes counted" 1 c.Counters.disk_writes
 
+(* --- the shared zero page ---
+
+   Every never-written block of every device, in every VMM, reads from one
+   shared zero page. Each write path must give its block its own bytes
+   first: a write into the shared page would show up in every unwritten
+   block everywhere. *)
+
+let filled c = Bytes.make Addr.page_size c
+let is_zero b = Bytes.for_all (fun c -> c = '\000') b
+
+(* A device whose first probe of [site] draws [action]. *)
+let hostile_dev ?rule () =
+  let rules =
+    match rule with
+    | None -> []
+    | Some (site, action) -> [ { Inject.site; trigger = Inject.once ~at:1; action } ]
+  in
+  let vmm = Cloak.Vmm.create ~engine:(Inject.create (Inject.plan rules)) () in
+  (vmm, Blockdev.create ~vmm ~blocks:4 ())
+
+(* DMA a page of [c] from guest page [ppn] to block [b]. *)
+let dma_out vmm dev b ~ppn c =
+  Cloak.Vmm.phys_write vmm ppn ~off:0 (filled c);
+  Blockdev.write_block dev b ~ppn
+
+let check_zero_elsewhere what =
+  (* a never-written block on a second device of a second VMM *)
+  let vmm = Cloak.Vmm.create () in
+  let dev = Blockdev.create ~vmm ~blocks:2 () in
+  let b = Blockdev.alloc_block dev in
+  Alcotest.(check bool) (what ^ ": fresh block peeks as zeros") true (is_zero (Blockdev.peek dev b));
+  Cloak.Vmm.phys_write vmm 0 ~off:0 (filled 'x');
+  Blockdev.read_block dev b ~ppn:0;
+  Alcotest.(check bool) (what ^ ": fresh block reads as zeros") true
+    (is_zero (Cloak.Vmm.phys_read vmm 0 ~off:0 ~len:Addr.page_size))
+
+let test_zero_page_write_paths () =
+  let landed what dev b expect =
+    Alcotest.(check bool) (what ^ ": payload landed") true (Bytes.equal expect (Blockdev.peek dev b))
+  in
+  (* clean DMA *)
+  let vmm, dev = hostile_dev () in
+  let b = Blockdev.alloc_block dev in
+  dma_out vmm dev b ~ppn:0 'C';
+  landed "clean" dev b (filled 'C');
+  check_zero_elsewhere "clean";
+  (* torn DMA: the first 100 bytes land *)
+  let vmm, dev = hostile_dev ~rule:(Inject.Blk_write, Inject.Torn_write 100) () in
+  let b = Blockdev.alloc_block dev in
+  dma_out vmm dev b ~ppn:0 'T';
+  landed "torn" dev b (Bytes.init Addr.page_size (fun i -> if i < 100 then 'T' else '\000'));
+  check_zero_elsewhere "torn";
+  (* bit-flipped DMA *)
+  let vmm, dev = hostile_dev ~rule:(Inject.Blk_write, Inject.Bit_flip 7) () in
+  let b = Blockdev.alloc_block dev in
+  dma_out vmm dev b ~ppn:0 'F';
+  let flipped = filled 'F' in
+  Bytes.set flipped 7 (Char.chr (Char.code 'F' lxor 1));
+  landed "bit-flip" dev b flipped;
+  check_zero_elsewhere "bit-flip";
+  (* reordered DMA: the held-back payload swaps with the next write's *)
+  let vmm, dev = hostile_dev ~rule:(Inject.Blk_write, Inject.Reorder) () in
+  let b0 = Blockdev.alloc_block dev in
+  let b1 = Blockdev.alloc_block dev in
+  dma_out vmm dev b0 ~ppn:0 'R';
+  Alcotest.(check bool) "reorder: held back" true (is_zero (Blockdev.peek dev b0));
+  dma_out vmm dev b1 ~ppn:1 'S';
+  landed "reorder (first)" dev b0 (filled 'S');
+  landed "reorder (second)" dev b1 (filled 'R');
+  check_zero_elsewhere "reorder";
+  (* power cut mid-DMA: half the payload lands *)
+  let vmm, dev = hostile_dev ~rule:(Inject.Blk_write, Inject.Crash_point) () in
+  let b = Blockdev.alloc_block dev in
+  (match dma_out vmm dev b ~ppn:0 'P' with
+  | () -> Alcotest.fail "crash point did not fire"
+  | exception Inject.Vmm_crash _ -> ());
+  landed "crash-point" dev b
+    (Bytes.init Addr.page_size (fun i -> if i < Addr.page_size / 2 then 'P' else '\000'));
+  check_zero_elsewhere "crash-point";
+  (* host-side raw write, clean and cut *)
+  let _, dev = hostile_dev () in
+  Blockdev.write_raw dev 2 (filled 'W');
+  landed "write_raw" dev 2 (filled 'W');
+  check_zero_elsewhere "write_raw";
+  let _, dev = hostile_dev ~rule:(Inject.Blk_write, Inject.Crash_point) () in
+  (match Blockdev.write_raw dev 2 (filled 'X') with
+  | () -> Alcotest.fail "crash point did not fire"
+  | exception Inject.Vmm_crash _ -> ());
+  landed "write_raw crash-point" dev 2
+    (Bytes.init Addr.page_size (fun i -> if i < Addr.page_size / 2 then 'X' else '\000'));
+  check_zero_elsewhere "write_raw crash-point";
+  (* tampering *)
+  let _, dev = hostile_dev () in
+  Blockdev.poke dev 3 (filled 'K');
+  landed "poke" dev 3 (filled 'K');
+  Alcotest.(check bool) "poke: neighbour still zeros" true (is_zero (Blockdev.peek dev 2));
+  check_zero_elsewhere "poke"
+
+let test_zero_page_free () =
+  (* freeing a never-written block leaves it (and everyone else) zeros *)
+  let _, dev = hostile_dev () in
+  let b = Blockdev.alloc_block dev in
+  Blockdev.free_block dev b;
+  Alcotest.(check bool) "never-written freed block" true (is_zero (Blockdev.peek dev b));
+  (* disk remanence still keeps a written block's bytes *)
+  let _, dev = hostile_dev ~rule:(Inject.Blk_free, Inject.Fail_scrub) () in
+  let b = Blockdev.alloc_block dev in
+  Blockdev.poke dev b (filled 'M');
+  Blockdev.free_block dev b;
+  Alcotest.(check bool) "remanence keeps the bytes" true (Bytes.equal (filled 'M') (Blockdev.peek dev b));
+  (* and a remanent never-written block is still zeros *)
+  let _, dev = hostile_dev ~rule:(Inject.Blk_free, Inject.Fail_scrub) () in
+  let b = Blockdev.alloc_block dev in
+  Blockdev.free_block dev b;
+  Alcotest.(check bool) "remanent never-written block" true (is_zero (Blockdev.peek dev b));
+  check_zero_elsewhere "free"
+
 (* --- pipes (direct, against a bare address space) --- *)
 
 let pipe_setup () =
@@ -338,6 +455,8 @@ let () =
           quick "alloc exhaustion" test_blockdev_alloc_exhaustion;
           quick "free scrubs" test_blockdev_free_scrubs;
           quick "dma roundtrip" test_blockdev_dma_roundtrip;
+          quick "zero page: every write path" test_zero_page_write_paths;
+          quick "zero page: free" test_zero_page_free;
         ] );
       ( "pipes",
         [

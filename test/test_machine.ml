@@ -134,28 +134,35 @@ let test_pt_replace () =
 
 let entry shadow vpn mpn = { Tlb.shadow; vpn; mpn; writable = true }
 
+let read = Fault.Read
+let write = Fault.Write
+
 let test_tlb_hit_miss () =
   let tlb = Tlb.create ~slots:16 () in
-  Alcotest.(check bool) "cold miss" true (Tlb.lookup tlb ~shadow:0 ~vpn:3 = None);
+  Alcotest.(check int) "cold miss" (-1) (Tlb.query tlb ~shadow:0 ~vpn:3 ~access:read);
   Tlb.insert tlb (entry 0 3 42);
-  (match Tlb.lookup tlb ~shadow:0 ~vpn:3 with
-  | Some e -> Alcotest.(check int) "mpn" 42 e.Tlb.mpn
-  | None -> Alcotest.fail "expected hit");
+  Alcotest.(check int) "read hit" 42 (Tlb.query tlb ~shadow:0 ~vpn:3 ~access:read);
+  Alcotest.(check int) "write hit" 42 (Tlb.query tlb ~shadow:0 ~vpn:3 ~access:write);
   (* same vpn under another shadow is a distinct entry *)
-  Alcotest.(check bool) "other shadow misses" true (Tlb.lookup tlb ~shadow:1 ~vpn:3 = None)
+  Alcotest.(check int) "other shadow misses" (-1) (Tlb.query tlb ~shadow:1 ~vpn:3 ~access:read);
+  (* a read-only entry serves reads; a write through it is a miss *)
+  Tlb.insert tlb { (entry 0 4 0) with writable = false };
+  Alcotest.(check int) "read-only read hit (mpn 0)" 0 (Tlb.query tlb ~shadow:0 ~vpn:4 ~access:read);
+  Alcotest.(check int) "read-only write misses" (-1) (Tlb.query tlb ~shadow:0 ~vpn:4 ~access:write)
 
 let test_tlb_flushes () =
   let tlb = Tlb.create ~slots:16 () in
+  let cached shadow vpn = Tlb.query tlb ~shadow ~vpn ~access:read >= 0 in
   Tlb.insert tlb (entry 0 1 10);
   Tlb.insert tlb (entry 1 2 20);
   Tlb.flush_shadow tlb ~shadow:0;
-  Alcotest.(check bool) "shadow 0 gone" true (Tlb.lookup tlb ~shadow:0 ~vpn:1 = None);
-  Alcotest.(check bool) "shadow 1 kept" true (Tlb.lookup tlb ~shadow:1 ~vpn:2 <> None);
+  Alcotest.(check bool) "shadow 0 gone" false (cached 0 1);
+  Alcotest.(check bool) "shadow 1 kept" true (cached 1 2);
   Tlb.flush_vpn tlb ~vpn:2;
-  Alcotest.(check bool) "vpn 2 gone" true (Tlb.lookup tlb ~shadow:1 ~vpn:2 = None);
+  Alcotest.(check bool) "vpn 2 gone" false (cached 1 2);
   Tlb.insert tlb (entry 0 1 10);
   Tlb.flush_all tlb;
-  Alcotest.(check bool) "all gone" true (Tlb.lookup tlb ~shadow:0 ~vpn:1 = None)
+  Alcotest.(check bool) "all gone" false (cached 0 1)
 
 let test_tlb_validation () =
   Alcotest.check_raises "non power of two"
@@ -168,7 +175,94 @@ let prop_tlb_insert_lookup =
     (fun (shadow, vpn) ->
       let tlb = Tlb.create ~slots:64 () in
       Tlb.insert tlb (entry shadow vpn 7);
-      match Tlb.lookup tlb ~shadow ~vpn with Some e -> e.Tlb.mpn = 7 | None -> false)
+      Tlb.query tlb ~shadow ~vpn ~access:read = 7
+      && Tlb.query tlb ~shadow ~vpn ~access:write = 7)
+
+(* Differential: the direct-mapped TLB against an association-list model
+   of it. The model keeps one entry per slot (the slot function is part of
+   the TLB's observable behaviour: a later insert evicts a conflicting
+   one); a query must agree with the model for every shadow, vpn and
+   access after every step. *)
+type tlb_op =
+  | Insert of int * int * int * bool
+  | Flush_all
+  | Flush_shadow of int
+  | Flush_vpn of int
+  | Flush_mpn of int
+  | Guest_flush of int
+
+let pp_tlb_op = function
+  | Insert (s, v, m, w) -> Printf.sprintf "insert(s%d,v%d,m%d,%s)" s v m (if w then "rw" else "ro")
+  | Flush_all -> "flush_all"
+  | Flush_shadow s -> Printf.sprintf "flush_shadow %d" s
+  | Flush_vpn v -> Printf.sprintf "flush_vpn %d" v
+  | Flush_mpn m -> Printf.sprintf "flush_mpn %d" m
+  | Guest_flush v -> Printf.sprintf "guest_flush_vpn %d" v
+
+let tlb_slots = 8
+let tlb_shadows = 4
+let tlb_vpns = 24
+
+let gen_tlb_op =
+  QCheck.Gen.(
+    let shadow = int_bound (tlb_shadows - 1) and vpn = int_bound (tlb_vpns - 1) in
+    frequency
+      [
+        (8, map (fun (s, v, m, w) -> Insert (s, v, m, w)) (quad shadow vpn (int_bound 9) bool));
+        (1, return Flush_all);
+        (2, map (fun s -> Flush_shadow s) shadow);
+        (2, map (fun v -> Flush_vpn v) vpn);
+        (2, map (fun m -> Flush_mpn m) (int_bound 9));
+        (2, map (fun v -> Guest_flush v) vpn);
+      ])
+
+let prop_tlb_differential =
+  QCheck.Test.make ~name:"query agrees with an association-list model" ~count:300
+    QCheck.(make ~print:(Print.list pp_tlb_op) Gen.(list_size (int_range 1 60) gen_tlb_op))
+    (fun ops ->
+      let tlb = Tlb.create ~slots:tlb_slots () in
+      let slot s v = (v lxor (s * 0x9E37)) land (tlb_slots - 1) in
+      (* slot -> (shadow, vpn, mpn, writable) *)
+      let model = ref [] in
+      let drop p = model := List.filter (fun (_, e) -> not (p e)) !model in
+      let step = function
+        | Insert (s, v, m, w) ->
+            Tlb.insert tlb { Tlb.shadow = s; vpn = v; mpn = m; writable = w };
+            model := (slot s v, (s, v, m, w)) :: List.remove_assoc (slot s v) !model
+        | Flush_all ->
+            Tlb.flush_all tlb;
+            model := []
+        | Flush_shadow s ->
+            Tlb.flush_shadow tlb ~shadow:s;
+            drop (fun (s', _, _, _) -> s' = s)
+        | Flush_vpn v ->
+            Tlb.flush_vpn tlb ~vpn:v;
+            drop (fun (_, v', _, _) -> v' = v)
+        | Flush_mpn m ->
+            Tlb.flush_mpn tlb ~mpn:m;
+            drop (fun (_, _, m', _) -> m' = m)
+        | Guest_flush v ->
+            (* no injection engine: the guest's INVLPG is never lost *)
+            Tlb.guest_flush_vpn tlb ~vpn:v;
+            drop (fun (_, v', _, _) -> v' = v)
+      in
+      let expected s v access =
+        match List.assoc_opt (slot s v) !model with
+        | Some (s', v', m, w) when s' = s && v' = v && (access = Fault.Read || w) -> m
+        | Some _ | None -> -1
+      in
+      let agrees () =
+        List.for_all
+          (fun access ->
+            List.for_all
+              (fun s ->
+                List.for_all
+                  (fun v -> Tlb.query tlb ~shadow:s ~vpn:v ~access = expected s v access)
+                  (List.init tlb_vpns Fun.id))
+              (List.init tlb_shadows Fun.id))
+          [ Fault.Read; Fault.Write ]
+      in
+      List.for_all (fun op -> step op; agrees ()) ops)
 
 (* --- Cost --- *)
 
@@ -244,6 +338,7 @@ let () =
           quick "flushes" test_tlb_flushes;
           quick "validation" test_tlb_validation;
           Qseed.to_alcotest prop_tlb_insert_lookup;
+          Qseed.to_alcotest prop_tlb_differential;
         ] );
       ( "cost",
         [ quick "accounting" test_cost_accounting; quick "crypto" test_cost_crypto_charge ] );

@@ -54,6 +54,47 @@ let test_malloc_negative_rejected () =
   in
   check_exit k pid 7
 
+(* --- word access --- *)
+
+(* A word load/store is an 8-byte load/store: same bytes, same cycles, same
+   TLB traffic, whether the word sits inside a page or straddles two. Twin
+   buffers on separate resident pages run each op side by side. *)
+let test_word_matches_bytes () =
+  let _, k, pid =
+    run ~cloaked:true (fun env ->
+        let u = Uapi.of_env env in
+        let cost = Cloak.Vmm.cost env.Abi.vmm in
+        let counters = Cloak.Vmm.counters env.Abi.vmm in
+        let base = Uapi.malloc u (5 * Addr.page_size) in
+        let page0 = (base + Addr.page_size - 1) / Addr.page_size * Addr.page_size in
+        for p = 0 to 3 do
+          Uapi.store_byte u ~vaddr:(page0 + (p * Addr.page_size)) 0
+        done;
+        let a = page0 and b = page0 + (2 * Addr.page_size) in
+        (* cycles and TLB hits charged by [f] *)
+        let cost_of f =
+          let c0 = Cost.cycles cost and h0 = counters.Counters.tlb_hits in
+          f ();
+          (Cost.cycles cost - c0, counters.Counters.tlb_hits - h0)
+        in
+        List.iteri
+          (fun i off ->
+            let v = (i * 0x0123_4567_89AB) - 77 in
+            let enc = Bytes.create 8 in
+            Bytes.set_int64_le enc 0 (Int64.of_int v);
+            let w = cost_of (fun () -> Uapi.store_word u ~vaddr:(a + off) v) in
+            let s = cost_of (fun () -> Uapi.store u ~vaddr:(b + off) enc) in
+            if w <> s then Uapi.exit u 1;
+            let got = ref 0 and raw = ref Bytes.empty in
+            let w = cost_of (fun () -> got := Uapi.load_word u ~vaddr:(a + off)) in
+            let s = cost_of (fun () -> raw := Uapi.load u ~vaddr:(b + off) ~len:8) in
+            if w <> s then Uapi.exit u 2;
+            if !got <> v || not (Bytes.equal !raw enc) then Uapi.exit u 3;
+            if not (Bytes.equal (Uapi.load u ~vaddr:(a + off) ~len:8) enc) then Uapi.exit u 4)
+          [ 0; 8; Addr.page_size - 8; Addr.page_size - 4; Addr.page_size - 1 ])
+  in
+  check_exit k pid 0
+
 (* --- compute / ticks --- *)
 
 let test_compute_ticks () =
@@ -252,6 +293,7 @@ let () =
           quick "grows break" test_malloc_grows_break;
           quick "negative rejected" test_malloc_negative_rejected;
         ] );
+      ("word access", [ quick "word = 8-byte load/store" test_word_matches_bytes ]);
       ( "compute",
         [
           quick "ticks" test_compute_ticks;

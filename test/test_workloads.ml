@@ -128,6 +128,57 @@ let test_membuf_bounds () =
   in
   Alcotest.(check bool) "bounds checked" true (Harness.all_exited_zero r)
 
+(* --- allocation floor ---
+
+   A TLB hit is the cheap path of the model, and it must be the cheap path
+   of the simulator too: word and byte access on a resident page allocates
+   nothing, and building a stack allocates no per-block disk storage up
+   front. Words are counted as perfbench counts them (minor + major -
+   promoted), so direct major-heap allocations show too. *)
+
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_access_alloc_floor () =
+  let n = 10_000 in
+  let per_op = ref Float.nan in
+  let r =
+    Harness.run_program ~cloaked:true (fun env ->
+        let u = Uapi.of_env env in
+        let words = Workloads.Membuf.alloc u ~elems:64 in
+        let bytes = Workloads.Membuf.alloc_bytes u ~len:64 in
+        (* fault the page in and fill the TLB before measuring *)
+        Workloads.Membuf.set words 0 0;
+        Workloads.Membuf.set_byte bytes 0 0;
+        let misses = (Cloak.Vmm.counters env.Abi.vmm).Machine.Counters.tlb_misses in
+        let before = allocated_words () in
+        let wrong = ref 0 in
+        for i = 0 to n - 1 do
+          let j = i land 63 in
+          Workloads.Membuf.set words j i;
+          if Workloads.Membuf.get words j <> i then incr wrong;
+          Workloads.Membuf.set_byte bytes j (i land 0xFF);
+          if Workloads.Membuf.get_byte bytes j <> i land 0xFF then incr wrong
+        done;
+        per_op := (allocated_words () -. before) /. float_of_int (4 * n);
+        if !wrong <> 0 then Uapi.exit u 1;
+        (* every access above was a TLB hit on the resident cloaked page *)
+        if (Cloak.Vmm.counters env.Abi.vmm).Machine.Counters.tlb_misses <> misses then
+          Uapi.exit u 2)
+  in
+  Alcotest.(check bool) "exit 0 (values and hits verified)" true (Harness.all_exited_zero r);
+  if not (!per_op <= 0.01) then
+    Alcotest.failf "%.3f words allocated per get/set/get_byte/set_byte (floor 0.01)" !per_op
+
+let test_stack_alloc_floor () =
+  let before = allocated_words () in
+  let r = Harness.run_program ~cloaked:true (fun _env -> ()) in
+  let words = allocated_words () -. before in
+  Alcotest.(check bool) "exit 0" true (Harness.all_exited_zero r);
+  if not (words < 100_000.) then
+    Alcotest.failf "empty cloaked run allocated %.0f words (floor 100000)" words
+
 (* --- harness determinism --- *)
 
 let test_harness_determinism () =
@@ -172,7 +223,12 @@ let () =
           quick "build cloaked" (test_build ~cloak_workers:true);
         ] );
       ( "membuf",
-        [ quick "roundtrip" test_membuf_roundtrip; quick "bounds" test_membuf_bounds ] );
+        [
+          quick "roundtrip" test_membuf_roundtrip;
+          quick "bounds" test_membuf_bounds;
+          quick "zero-alloc TLB hits" test_access_alloc_floor;
+          quick "empty-run alloc floor" test_stack_alloc_floor;
+        ] );
       ( "harness",
         [
           quick "determinism" test_harness_determinism;
