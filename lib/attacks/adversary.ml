@@ -21,13 +21,6 @@ let class_name = function
   | Identity -> "identity"
   | Sched -> "sched"
 
-let class_of_name = function
-  | "lies" -> Some Lies
-  | "address" -> Some Address
-  | "identity" -> Some Identity
-  | "sched" -> Some Sched
-  | _ -> None
-
 type mapping = { asid : int; vpn : Addr.vpn; ppn : Addr.ppn; mpn : Addr.mpn }
 
 type t = {
@@ -327,6 +320,3 @@ let arm t (env : Abi.env) =
   let direct = env.Abi.dispatch in
   env.Abi.dispatch <- wrap t env direct
 
-let disarm t (env : Abi.env) ~direct =
-  Cloak.Vmm.set_map_observer t.vmm None;
-  env.Abi.dispatch <- direct

@@ -25,7 +25,6 @@ type cls =
 
 val classes : cls list
 val class_name : cls -> string
-val class_of_name : string -> cls option
 
 type t
 
@@ -38,9 +37,6 @@ val arm : t -> Guest.Abi.env -> unit
     placements. Arm {e before} [Shim.install] so the shim's direct
     dispatcher is the liar — the configuration the paraverification layer
     is designed for. *)
-
-val disarm : t -> Guest.Abi.env -> direct:(Guest.Abi.call -> Guest.Abi.value) -> unit
-(** Remove the interposition and the map observer, restoring [direct]. *)
 
 val executed : t -> int
 (** Attacks actually executed so far (also counted per class in the VMM's

@@ -67,7 +67,6 @@ let create ~hosts ?(threshold = 2.0) ?(queue_bound = 6) ?(rejoin_backoff = 0)
     load_feed = None;
   }
 
-let n_hosts t = Array.length t.hosts
 let host t i = t.hosts.(i)
 let state t i = (host t i).st
 let load t i = (host t i).load

@@ -56,7 +56,6 @@ val create :
     (default 0 = never) the cycles a dead host sits out before
     re-admission. *)
 
-val n_hosts : t -> int
 val state : t -> int -> state
 val states : t -> state array
 val threshold : t -> float

@@ -6,5 +6,3 @@ let app asid = { asid; view = App }
 let sys asid = { asid; view = Sys }
 let equal a b = a.asid = b.asid && a.view = b.view
 
-let pp ppf { asid; view } =
-  Format.fprintf ppf "%s(asid=%d)" (match view with App -> "app" | Sys -> "sys") asid

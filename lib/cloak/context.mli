@@ -13,4 +13,3 @@ type t = { asid : int; view : view }
 val app : int -> t
 val sys : int -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

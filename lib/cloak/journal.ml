@@ -40,77 +40,87 @@ let fresh_state () =
     seals = Hashtbl.create 8;
   }
 
-(* --- hex helpers (iv and mac travel as lowercase hex in record bodies) --- *)
+(* --- record shapes ---
+
+   Log records and checkpoint lines share four field shapes: page
+   metadata, a device bind, a shm generation, and a name with a number
+   (seal generation, freed block, dropped page). Each shape has one
+   renderer and one reader, used by both formats; iv and mac travel as
+   lowercase hex. Readers hand the fields to [k]. *)
 
 let to_hex = Oscrypto.Sha256.hex
 
-let of_hex s =
-  let digit c =
-    match c with
-    | '0' .. '9' -> Some (Char.code c - Char.code '0')
-    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-    | _ -> None
+let page_line k tag idx version iv mac =
+  Printf.sprintf "%c|%s|%d|%d|%s|%s" k tag idx version (to_hex iv) (to_hex mac)
+
+let bind_line k tag idx dev block = Printf.sprintf "%c|%s|%d|%s|%d" k tag idx dev block
+let gen_line k id gen size pages = Printf.sprintf "%c|%d|%d|%d|%d" k id gen size pages
+let pair_line k name n = Printf.sprintf "%c|%s|%d" k name n
+
+module W = Oscrypto.Wire
+
+let ( let* ) = W.( let* )
+
+let read_page c k =
+  let* tag = W.field c '|' in
+  let* idx = W.int ~lo:0 ~sep:'|' c in
+  let* version = W.int ~sep:'|' c in
+  let* iv = W.hex_bytes c 16 in
+  let* () = W.literal c "|" in
+  let* mac = W.hex_bytes c 32 in
+  Ok (k tag idx version iv mac)
+
+let read_bind c k =
+  let* tag = W.field c '|' in
+  let* idx = W.int ~lo:0 ~sep:'|' c in
+  let* dev = W.field c '|' in
+  let* block = W.int ~lo:0 c in
+  Ok (k tag idx dev block)
+
+let read_gen c k =
+  let* id = W.int ~sep:'|' c in
+  let* gen = W.int ~sep:'|' c in
+  let* size = W.int ~sep:'|' c in
+  let* pages = W.int ~lo:0 c in
+  Ok (k id gen size pages)
+
+let read_pair ?lo c k =
+  let* name = W.field c '|' in
+  let* n = W.int ?lo c in
+  Ok (k name n)
+
+(* --- log record bodies --- *)
+
+let encode_event = function
+  | Update { tag; idx; version; iv; mac } -> page_line 'U' tag idx version iv mac
+  | Intent { tag; idx; dev; block } -> bind_line 'I' tag idx dev block
+  | Commit { tag; idx; dev; block } -> bind_line 'C' tag idx dev block
+  | Freed { dev; block } -> pair_line 'X' dev block
+  | Dropped_page { tag; idx } -> pair_line 'D' tag idx
+  | Dropped_resource { tag } -> "F|" ^ tag
+  | Generation { id; gen; size; pages } -> gen_line 'G' id gen size pages
+  | Seal { tag; gen } -> pair_line 'S' tag gen
+
+let read_event c =
+  let* kind = W.field c '|' in
+  let* ev =
+    match kind with
+    | "U" -> read_page c (fun tag idx version iv mac -> Update { tag; idx; version; iv; mac })
+    | "I" -> read_bind c (fun tag idx dev block -> Intent { tag; idx; dev; block })
+    | "C" -> read_bind c (fun tag idx dev block -> Commit { tag; idx; dev; block })
+    | "X" -> read_pair ~lo:0 c (fun dev block -> Freed { dev; block })
+    | "D" -> read_pair ~lo:0 c (fun tag idx -> Dropped_page { tag; idx })
+    | "F" ->
+        let* tag = W.raw c (W.remaining c) in
+        Ok (Dropped_resource { tag = Bytes.unsafe_to_string tag })
+    | "G" -> read_gen c (fun id gen size pages -> Generation { id; gen; size; pages })
+    | "S" -> read_pair c (fun tag gen -> Seal { tag; gen })
+    | _ -> W.fail c "record kind"
   in
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let out = Bytes.create (n / 2) in
-    let ok = ref true in
-    for i = 0 to (n / 2) - 1 do
-      match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
-      | Some hi, Some lo -> Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
-      | _ -> ok := false
-    done;
-    if !ok then Some out else None
+  let* () = W.eof c in
+  Ok ev
 
-(* --- record bodies --- *)
-
-let body_of_event = function
-  | Update { tag; idx; version; iv; mac } ->
-      Printf.sprintf "U|%s|%d|%d|%s|%s" tag idx version (to_hex iv) (to_hex mac)
-  | Intent { tag; idx; dev; block } -> Printf.sprintf "I|%s|%d|%s|%d" tag idx dev block
-  | Commit { tag; idx; dev; block } -> Printf.sprintf "C|%s|%d|%s|%d" tag idx dev block
-  | Freed { dev; block } -> Printf.sprintf "X|%s|%d" dev block
-  | Dropped_page { tag; idx } -> Printf.sprintf "D|%s|%d" tag idx
-  | Dropped_resource { tag } -> Printf.sprintf "F|%s" tag
-  | Generation { id; gen; size; pages } -> Printf.sprintf "G|%d|%d|%d|%d" id gen size pages
-  | Seal { tag; gen } -> Printf.sprintf "S|%s|%d" tag gen
-
-let event_of_body body =
-  match String.split_on_char '|' body with
-  | [ "U"; tag; idx; version; iv; mac ] -> (
-      match (int_of_string_opt idx, int_of_string_opt version, of_hex iv, of_hex mac) with
-      | Some idx, Some version, Some iv, Some mac -> Some (Update { tag; idx; version; iv; mac })
-      | _ -> None)
-  | [ "I"; tag; idx; dev; block ] -> (
-      match (int_of_string_opt idx, int_of_string_opt block) with
-      | Some idx, Some block -> Some (Intent { tag; idx; dev; block })
-      | _ -> None)
-  | [ "C"; tag; idx; dev; block ] -> (
-      match (int_of_string_opt idx, int_of_string_opt block) with
-      | Some idx, Some block -> Some (Commit { tag; idx; dev; block })
-      | _ -> None)
-  | [ "X"; dev; block ] -> (
-      match int_of_string_opt block with
-      | Some block -> Some (Freed { dev; block })
-      | None -> None)
-  | [ "D"; tag; idx ] -> (
-      match int_of_string_opt idx with
-      | Some idx -> Some (Dropped_page { tag; idx })
-      | None -> None)
-  | [ "F"; tag ] -> Some (Dropped_resource { tag })
-  | [ "G"; id; gen; size; pages ] -> (
-      match
-        (int_of_string_opt id, int_of_string_opt gen, int_of_string_opt size,
-         int_of_string_opt pages)
-      with
-      | Some id, Some gen, Some size, Some pages -> Some (Generation { id; gen; size; pages })
-      | _ -> None)
-  | [ "S"; tag; gen ] -> (
-      match int_of_string_opt gen with
-      | Some gen -> Some (Seal { tag; gen })
-      | None -> None)
-  | _ -> None
+let decode_event body = read_event (W.of_string body)
 
 (* --- the materialized view --- *)
 
@@ -171,7 +181,6 @@ type t = {
   st : state;
   log_buf : bytes;  (* in-memory mirror of the log region *)
   mutable epoch : int;
-  mutable active_slot : int;
   mutable log_pos : int;
   mutable chain : bytes;
   ckpt_every : int;
@@ -206,61 +215,44 @@ let anchor ~key epoch = Oscrypto.Hmac.mac_string ~key:(Bytes.to_string key) (Pri
 let snapshot_lines st =
   let page_lines =
     Hashtbl.fold
-      (fun (tag, idx) (p : page) acc ->
-        Printf.sprintf "M|%s|%d|%d|%s|%s" tag idx p.version (to_hex p.iv) (to_hex p.mac) :: acc)
+      (fun (tag, idx) (p : page) acc -> page_line 'M' tag idx p.version p.iv p.mac :: acc)
       st.pages []
-  and bind_lines prefix tbl =
+  and bind_lines k tbl =
     Hashtbl.fold
-      (fun (tag, idx) (b : bind) acc ->
-        Printf.sprintf "%s|%s|%d|%s|%d" prefix tag idx b.dev b.block :: acc)
+      (fun (tag, idx) (b : bind) acc -> bind_line k tag idx b.dev b.block :: acc)
       tbl []
   and gen_lines =
     Hashtbl.fold
-      (fun id (gen, size, pages) acc -> Printf.sprintf "N|%d|%d|%d|%d" id gen size pages :: acc)
+      (fun id (gen, size, pages) acc -> gen_line 'N' id gen size pages :: acc)
       st.gens []
-  and seal_lines =
-    Hashtbl.fold (fun tag gen acc -> Printf.sprintf "S|%s|%d" tag gen :: acc) st.seals []
-  in
+  and seal_lines = Hashtbl.fold (fun tag gen acc -> pair_line 'S' tag gen :: acc) st.seals [] in
   List.sort String.compare
-    (page_lines @ bind_lines "B" st.binds @ bind_lines "P" st.inflight @ gen_lines
+    (page_lines @ bind_lines 'B' st.binds @ bind_lines 'P' st.inflight @ gen_lines
    @ seal_lines)
 
-let parse_snapshot_line st line =
-  match String.split_on_char '|' line with
-  | [ "M"; tag; idx; version; iv; mac ] -> (
-      match (int_of_string_opt idx, int_of_string_opt version, of_hex iv, of_hex mac) with
-      | Some idx, Some version, Some iv, Some mac ->
-          Hashtbl.replace st.pages (tag, idx) { version; iv; mac };
-          true
-      | _ -> false)
-  | [ ("B" | "P") as k; tag; idx; dev; block ] -> (
-      match (int_of_string_opt idx, int_of_string_opt block) with
-      | Some idx, Some block ->
-          Hashtbl.replace (if k = "B" then st.binds else st.inflight) (tag, idx) { dev; block };
-          true
-      | _ -> false)
-  | [ "N"; id; gen; size; pages ] -> (
-      match
-        (int_of_string_opt id, int_of_string_opt gen, int_of_string_opt size,
-         int_of_string_opt pages)
-      with
-      | Some id, Some gen, Some size, Some pages ->
-          Hashtbl.replace st.gens id (gen, size, pages);
-          true
-      | _ -> false)
-  | [ "S"; tag; gen ] -> (
-      match int_of_string_opt gen with
-      | Some gen ->
-          Hashtbl.replace st.seals tag gen;
-          true
-      | None -> false)
-  | _ -> false
+let read_snapshot_line st c =
+  let* kind = W.field c '|' in
+  let* () =
+    match kind with
+    | "M" ->
+        read_page c (fun tag idx version iv mac ->
+            Hashtbl.replace st.pages (tag, idx) { version; iv; mac })
+    | "B" | "P" ->
+        read_bind c (fun tag idx dev block ->
+            Hashtbl.replace (if kind = "B" then st.binds else st.inflight) (tag, idx)
+              { dev; block })
+    | "N" ->
+        read_gen c (fun id gen size pages -> Hashtbl.replace st.gens id (gen, size, pages))
+    | "S" -> read_pair c (fun tag gen -> Hashtbl.replace st.seals tag gen)
+    | _ -> W.fail c "line kind"
+  in
+  W.literal c "\n"
 
 let ckpt_magic = "OVSJC"
 let sb_magic = "OVSJS"
 
-let render_checkpoint t ~epoch =
-  let lines = snapshot_lines t.st in
+let encode_checkpoint st ~epoch =
+  let lines = snapshot_lines st in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "%s|%d|%d\n" ckpt_magic epoch (List.length lines));
   List.iter
@@ -268,15 +260,28 @@ let render_checkpoint t ~epoch =
       Buffer.add_string buf l;
       Buffer.add_char buf '\n')
     lines;
-  let body = Buffer.to_bytes buf in
-  Bytes.cat body (Oscrypto.Hmac.mac ~key:t.key body)
+  Buffer.to_bytes buf
 
-(* Write [data] into the checkpoint area [slot], zero-padding to whole
-   blocks. [limit] bounds how many area blocks are actually written — the
-   crash injection uses it to leave a deliberately partial checkpoint. *)
-let write_ckpt_area t ~slot ~data ~limit =
+(* Only the canonical form is accepted — the bytes [encode_checkpoint]
+   writes for the state they parse to (sorted, no repeated key) — and only
+   for the epoch the superblock names. *)
+let decode_checkpoint ~epoch body =
+  let c = W.of_bytes body and st = fresh_state () in
+  let* () = W.literal c (ckpt_magic ^ "|") in
+  let* _ = W.int ~lo:epoch ~hi:epoch ~sep:'|' c in
+  let* n = W.int ~lo:0 ~sep:'\n' c in
+  let* _ = W.count n (read_snapshot_line st) c in
+  let* () = W.eof c in
+  if Bytes.equal (encode_checkpoint st ~epoch) body then Ok st
+  else W.fail c "canonical checkpoint"
+
+(* Write [data] into the checkpoint area of [epoch] (epochs alternate
+   between the two), zero-padding to whole blocks. [limit] bounds how many
+   area blocks are actually written — the crash injection uses it to
+   leave a deliberately partial checkpoint. *)
+let write_ckpt_area t ~epoch ~data ~limit =
   let bs = t.store.block_size in
-  let area = 2 + (slot * t.geom.ckpt_blocks) in
+  let area = 2 + (epoch mod 2 * t.geom.ckpt_blocks) in
   let nblocks = (Bytes.length data + bs - 1) / bs in
   if nblocks > t.geom.ckpt_blocks then
     invalid_arg "Journal: checkpoint exceeds its area (journal_blocks too small)";
@@ -287,9 +292,23 @@ let write_ckpt_area t ~slot ~data ~limit =
     bwrite t (area + i) blk
   done
 
-let write_superblock t ~epoch ~slot ~len =
+(* The slot is redundant with the epoch (epochs alternate slots), so only
+   [epoch mod 2] is accepted there. *)
+let encode_superblock ~epoch ~len =
+  Bytes.of_string (Printf.sprintf "%s|%d|%d|%d\n" sb_magic epoch (epoch mod 2) len)
+
+let decode_superblock header =
+  let c = W.of_bytes header in
+  let* () = W.literal c (sb_magic ^ "|") in
+  let* epoch = W.int ~lo:0 ~sep:'|' c in
+  let* _ = W.int ~lo:(epoch mod 2) ~hi:(epoch mod 2) ~sep:'|' c in
+  let* len = W.int ~lo:0 ~sep:'\n' c in
+  let* () = W.eof c in
+  Ok (epoch, len)
+
+let write_superblock t ~epoch ~len =
   let bs = t.store.block_size in
-  let header = Bytes.of_string (Printf.sprintf "%s|%d|%d|%d\n" sb_magic epoch slot len) in
+  let header = encode_superblock ~epoch ~len in
   let tag = Oscrypto.Hmac.mac ~key:t.key header in
   let blk = Bytes.make bs '\000' in
   Bytes.blit header 0 blk 0 (Bytes.length header);
@@ -318,24 +337,23 @@ let rec checkpoint t =
 and checkpoint_body t =
   t.ckpts <- t.ckpts + 1;
   let epoch' = t.epoch + 1 in
-  let slot = epoch' mod 2 in
-  let data = render_checkpoint t ~epoch:epoch' in
+  let body = encode_checkpoint t.st ~epoch:epoch' in
+  let data = Bytes.cat body (Oscrypto.Hmac.mac ~key:t.key body) in
   (* crash probe 1: mid-checkpoint — at most one area block reaches the
      store, and the superblock still names the previous epoch *)
   (match Inject.fire_opt t.engine Inject.Jrnl_ckpt with
   | Some Inject.Crash_point ->
-      write_ckpt_area t ~slot ~data ~limit:1;
+      write_ckpt_area t ~epoch:epoch' ~data ~limit:1;
       Inject.crashed Inject.Jrnl_ckpt
   | Some _ | None -> ());
-  write_ckpt_area t ~slot ~data ~limit:max_int;
+  write_ckpt_area t ~epoch:epoch' ~data ~limit:max_int;
   (* crash probe 2: the new checkpoint is complete but unnamed — recovery
      must still come up on the previous superblock's epoch *)
   (match Inject.fire_opt t.engine Inject.Jrnl_ckpt with
   | Some Inject.Crash_point -> Inject.crashed Inject.Jrnl_ckpt
   | Some _ | None -> ());
-  write_superblock t ~epoch:epoch' ~slot ~len:(Bytes.length data);
+  write_superblock t ~epoch:epoch' ~len:(Bytes.length data);
   t.epoch <- epoch';
-  t.active_slot <- slot;
   t.log_pos <- 0;
   t.chain <- anchor ~key:t.key epoch';
   t.since_ckpt <- 0
@@ -377,7 +395,7 @@ let rec record t event =
       raise ex
 
 and record_body t event =
-  let body = body_of_event event in
+  let body = encode_event event in
   let frame_len = 8 + String.length body + 32 in
   if frame_len > log_capacity t then invalid_arg "Journal: record larger than the log";
   if t.log_pos + frame_len > log_capacity t then checkpoint t;
@@ -408,100 +426,57 @@ type recovered = { rstate : state; repoch : int; replayed : int }
 let read_superblock ~key store i =
   let blk = store.read i in
   match Bytes.index_opt blk '\n' with
-  | None -> None
-  | Some nl when nl + 33 > Bytes.length blk -> None
-  | Some nl -> (
-      let header = Bytes.sub blk 0 (nl + 1) in
-      let tag = Bytes.sub blk (nl + 1) 32 in
-      if not (Oscrypto.Hmac.verify ~key ~tag header) then None
-      else
-        match String.split_on_char '|' (Bytes.sub_string blk 0 nl) with
-        | [ magic; epoch; slot; len ] when magic = sb_magic -> (
-            match (int_of_string_opt epoch, int_of_string_opt slot, int_of_string_opt len) with
-            | Some epoch, Some slot, Some len -> Some (epoch, slot, len)
-            | _ -> None)
-        | _ -> None)
+  | Some nl when Oscrypto.Hmac.verify_trailer ~key blk ~len:(nl + 1) ->
+      Result.to_option (decode_superblock (Bytes.sub blk 0 (nl + 1)))
+  | Some _ | None -> None
 
-let load_checkpoint ~key store geom ~slot ~len =
+let load_checkpoint ~key store geom ~epoch ~len =
   let bs = store.block_size in
   if len < 33 || len > geom.ckpt_blocks * bs then None
   else begin
-    let area = 2 + (slot * geom.ckpt_blocks) in
+    let area = 2 + (epoch mod 2 * geom.ckpt_blocks) in
     let nblocks = (len + bs - 1) / bs in
-    let buf = Buffer.create (nblocks * bs) in
-    for i = 0 to nblocks - 1 do
-      Buffer.add_bytes buf (store.read (area + i))
-    done;
-    let raw = Buffer.to_bytes buf in
-    let body = Bytes.sub raw 0 (len - 32) in
-    let tag = Bytes.sub raw (len - 32) 32 in
-    if not (Oscrypto.Hmac.verify ~key ~tag body) then None
-    else
-      match Bytes.index_opt body '\n' with
-      | None -> None
-      | Some nl -> (
-          match String.split_on_char '|' (Bytes.sub_string body 0 nl) with
-          | [ magic; _epoch; count ] when magic = ckpt_magic -> (
-              match int_of_string_opt count with
-              | None -> None
-              | Some count ->
-                  let st = fresh_state () in
-                  let lines =
-                    String.split_on_char '\n' (Bytes.sub_string body (nl + 1) (Bytes.length body - nl - 1))
-                  in
-                  let parsed =
-                    List.fold_left
-                      (fun acc l -> if l = "" then acc else if parse_snapshot_line st l then acc + 1 else acc)
-                      0 lines
-                  in
-                  if parsed = count then Some st else None)
-          | _ -> None)
+    let raw = Bytes.concat Bytes.empty (List.init nblocks (fun i -> store.read (area + i))) in
+    if not (Oscrypto.Hmac.verify_trailer ~key raw ~len:(len - 32)) then None
+    else Result.to_option (decode_checkpoint ~epoch (Bytes.sub raw 0 (len - 32)))
   end
 
+(* Replay stops at the first record that is torn, fails its chain MAC or
+   does not parse; each record is parsed whole before it is applied. *)
 let replay_log ~key store geom ~epoch st =
-  let bs = store.block_size in
-  let log = Buffer.create (geom.log_blocks * bs) in
-  for i = 0 to geom.log_blocks - 1 do
-    Buffer.add_bytes log (store.read (geom.log_start + i))
-  done;
-  let log = Buffer.to_bytes log in
-  let total = Bytes.length log in
-  let chain = ref (anchor ~key epoch) in
-  let pos = ref 0 in
-  let count = ref 0 in
-  let running = ref true in
-  while !running do
-    if !pos + 40 > total then running := false
-    else
-      match int_of_string_opt ("0x" ^ Bytes.sub_string log !pos 8) with
-      | None -> running := false
-      | Some len when len <= 0 || !pos + 8 + len + 32 > total -> running := false
-      | Some len -> (
-          let body = Bytes.sub log (!pos + 8) len in
-          let tag = Bytes.sub log (!pos + 8 + len) 32 in
-          let expected = Oscrypto.Hmac.mac ~key (Bytes.cat !chain body) in
-          if not (Bytes.equal tag expected) then running := false
-          else
-            match event_of_body (Bytes.to_string body) with
-            | None -> running := false
-            | Some ev ->
-                apply st ev;
-                chain := expected;
-                pos := !pos + 8 + len + 32;
-                incr count)
-  done;
-  !count
+  let log =
+    Bytes.concat Bytes.empty
+      (List.init geom.log_blocks (fun i -> store.read (geom.log_start + i)))
+  in
+  let rec next pos chain count =
+    let c = W.of_bytes ~pos log in
+    match W.hex_int ~lo:1 ~hi:(W.remaining c - 40) c ~width:8 with
+    | Error _ -> count
+    | Ok len -> (
+        (* the chain MAC covers the previous record's MAC and this body *)
+        let msg = Bytes.create (32 + len + 32) in
+        Bytes.blit chain 0 msg 0 32;
+        Bytes.blit log (pos + 8) msg 32 (len + 32);
+        if not (Oscrypto.Hmac.verify_trailer ~key msg ~len:(32 + len)) then count
+        else
+          match read_event (W.of_bytes ~pos:(pos + 8) ~len log) with
+          | Error _ -> count
+          | Ok ev ->
+              apply st ev;
+              next (pos + 8 + len + 32) (Bytes.sub msg (32 + len) 32) (count + 1))
+  in
+  next 0 (anchor ~key epoch) 0
 
 let load ~key store =
   let geom = geometry store in
   let candidates =
     List.filter_map (read_superblock ~key store) [ 0; 1 ]
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare b a)
+    |> List.sort (fun (a, _) (b, _) -> compare b a)
   in
   let rec try_candidates = function
     | [] -> { rstate = fresh_state (); repoch = 0; replayed = 0 }
-    | (epoch, slot, len) :: rest -> (
-        match load_checkpoint ~key store geom ~slot ~len with
+    | (epoch, len) :: rest -> (
+        match load_checkpoint ~key store geom ~epoch ~len with
         | None -> try_candidates rest
         | Some st ->
             let replayed = replay_log ~key store geom ~epoch st in
@@ -524,7 +499,6 @@ let attach ?engine ?(trace = Trace.null) ?(ckpt_every = 64) ~key store =
       st = loaded.rstate;
       log_buf = Bytes.make (geom.log_blocks * store.block_size) '\000';
       epoch = loaded.repoch;
-      active_slot = loaded.repoch mod 2;
       log_pos = 0;
       chain = anchor ~key loaded.repoch;
       ckpt_every = max 1 ckpt_every;

@@ -15,7 +15,7 @@
       the log anchor it names are fully written before the superblock is,
       a crash at any point leaves at least one consistent epoch.
     - two checkpoint areas: sorted snapshots of the full journal state
-      ([OVSJC] header, [M]/[B]/[P]/[N] lines, trailing HMAC).
+      ([OVSJC] header, [M]/[B]/[P]/[N]/[S] lines, trailing HMAC).
     - the rest: the append-only log. Each record is framed as an 8-digit
       hex length, an ASCII body, and a 32-byte chain MAC where
       [mac_i = HMAC(key, mac_(i-1) || body_i)] and [mac_0] chains from
@@ -123,5 +123,21 @@ type recovered = {
 val load : key:bytes -> store -> recovered
 (** Read-only recovery entry point: pick the best superblock, verify and
     parse its checkpoint, then replay the log tail, stopping at the first
-    chain-MAC failure. Never raises on corrupt or torn input — damage
-    simply truncates what is recovered. *)
+    record that fails its chain MAC or does not parse. Never raises on
+    corrupt or torn input — damage simply truncates what is recovered. *)
+
+(** {1 Record formats}
+
+    What each MAC covers, so the formats can be tested apart from a store.
+    Each decoder accepts exactly what its encoder writes. A superblock is
+    [OVSJS|epoch|slot|len\n] with [slot = epoch mod 2] and [len] the MAC'd
+    checkpoint's length; a checkpoint body is [OVSJC|epoch|count\n] and
+    then the state's lines in sorted order; a log record body is one
+    event (the frame adds its length and chain MAC). *)
+
+val encode_event : event -> string
+val decode_event : string -> (event, Oscrypto.Wire.error) result
+val encode_superblock : epoch:int -> len:int -> bytes
+val decode_superblock : bytes -> (int * int, Oscrypto.Wire.error) result
+val encode_checkpoint : state -> epoch:int -> bytes
+val decode_checkpoint : epoch:int -> bytes -> (state, Oscrypto.Wire.error) result

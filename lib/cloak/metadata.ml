@@ -47,11 +47,6 @@ let fold_resource t resource f init =
     (fun key e acc -> if Resource.equal key.resource resource then f key.idx e acc else acc)
     t init
 
-let fold_all (t : t) f init =
-  Hashtbl.fold (fun key e acc -> f key.resource key.idx e acc) t init
-
-let count = Hashtbl.length
-
 let mac_input ~resource ~idx ~version ~iv ~cipher =
   let header = Printf.sprintf "%s|%d|%d|" (Resource.tag resource) idx version in
   let out = Bytes.create (String.length header + Bytes.length iv + Bytes.length cipher) in

@@ -45,12 +45,6 @@ val drop_resource : t -> Resource.t -> unit
 val iter_resource : t -> Resource.t -> (int -> entry -> unit) -> unit
 val fold_resource : t -> Resource.t -> (int -> entry -> 'a -> 'a) -> 'a -> 'a
 
-val fold_all : t -> (Resource.t -> int -> entry -> 'a -> 'a) -> 'a -> 'a
-(** Fold over every record in the table, all resources included — the
-    journal checkpoint walks this to snapshot the whole table. Iteration
-    order is unspecified; checkpoint writers must sort. *)
-
-val count : t -> int
 
 val mac_input :
   resource:Resource.t -> idx:int -> version:int -> iv:bytes -> cipher:bytes -> bytes

@@ -96,57 +96,59 @@ let encode ~key ~session ?(tid = 0) frame =
   let body = Bytes.cat (Bytes.of_string header) payload in
   Bytes.cat body (Oscrypto.Hmac.mac ~key body)
 
+(* The whole frame is parsed before any field is acted on. An OFFER's
+   chunk count is bounded by its blob length (every chunk carries at
+   least one byte), so nchunks = 0 exactly when blob_len = 0. *)
+let header_magic = magic ^ "|"
+
+let parse_frame c =
+  let open Oscrypto.Wire in
+  (* every read is total, so the header's fields are read in sequence and
+     checked together: no closure per field on this per-frame path *)
+  let m = literal c header_magic in
+  let sess = field c '|' in
+  let kind = field c '|' in
+  let seq = int ~sep:'|' c in
+  let len = int ~sep:'|' c in
+  let tid = int ~sep:'\n' c in
+  match (m, sess, kind, seq, len, tid) with
+  | Ok (), Ok sess, Ok kind, Ok seq, Ok len, Ok tid -> (
+      let frame =
+        if len <> remaining c then fail c "payload length"
+        else
+          match kind with
+          | "offer" ->
+              let* nchunks = int ~lo:0 ~sep:'|' c in
+              let* blob_len = int ~lo:nchunks ~sep:'|' c in
+              let* digest = raw c (remaining c) in
+              if seq <> 0 || (nchunks = 0) <> (blob_len = 0) then fail c "offer manifest"
+              else Ok (Offer { nchunks; blob_len; digest = Bytes.unsafe_to_string digest })
+          | "chunk" ->
+              let* payload = raw c len in
+              if seq < 0 then fail c "chunk seq" else Ok (Chunk { seq; payload })
+          | ("ready" | "commit" | "abort") when seq <> 0 || len <> 0 -> fail c "control frame"
+          | "ready" -> Ok Ready
+          | "commit" -> Ok Commit
+          | "abort" -> Ok Abort
+          | "ack" -> if len = 0 then Ok (Ack seq) else fail c "ack payload"
+          | _ -> fail c "frame kind"
+      in
+      match (frame, eof c) with
+      | Ok frame, Ok () -> Ok (sess, frame, tid)
+      | Error e, _ | Ok _, Error e -> Error e)
+  | _ -> fail c "MIGF1 header"
+
 (* The request trace id rides in the header, so — like every header
    field — it sits under the frame MAC: an OS that rewrites it to confuse
    cross-host tracing produces a Bad_mac frame, not a mislabelled one. *)
 let decode_full ~key ~session wire =
-  let total = Bytes.length wire in
-  if total < 32 then Error Bad_mac
-  else
-    let body = Bytes.sub wire 0 (total - 32) in
-    let tag = Bytes.sub wire (total - 32) 32 in
-    if not (Oscrypto.Hmac.verify ~key ~tag body) then Error Bad_mac
-    else
-      (* everything below sits behind a valid session MAC *)
-      match Bytes.index_opt body '\n' with
-      | None -> Error Malformed
-      | Some nl -> (
-          let header = Bytes.sub_string body 0 nl in
-          let payload = Bytes.sub body (nl + 1) (Bytes.length body - nl - 1) in
-          match String.split_on_char '|' header with
-          | [ m; sess; kind; seq; len; tid ] when m = magic -> (
-              if sess <> session then Error Wrong_session
-              else
-                match
-                  ( int_of_string_opt seq,
-                    int_of_string_opt len,
-                    int_of_string_opt tid )
-                with
-                | Some seq, Some len, Some tid
-                  when len = Bytes.length payload -> (
-                    let ok frame = Ok (frame, tid) in
-                    match kind with
-                    | "offer" -> (
-                        match
-                          String.split_on_char '|' (Bytes.to_string payload)
-                        with
-                        | [ n; bl; digest ] -> (
-                            match (int_of_string_opt n, int_of_string_opt bl) with
-                            | Some nchunks, Some blob_len
-                              when nchunks >= 0 && blob_len >= 0 ->
-                                ok (Offer { nchunks; blob_len; digest })
-                            | _ -> Error Malformed)
-                        | _ -> Error Malformed)
-                    | "chunk" ->
-                        if seq < 0 then Error Malformed
-                        else ok (Chunk { seq; payload })
-                    | "ready" -> ok Ready
-                    | "commit" -> ok Commit
-                    | "abort" -> ok Abort
-                    | "ack" -> ok (Ack seq)
-                    | _ -> Error Malformed)
-                | _ -> Error Malformed)
-          | _ -> Error Malformed)
+  match Oscrypto.Wire.authenticated ~key wire with
+  | Error _ -> Error Bad_mac
+  | Ok c -> (
+      match parse_frame c with
+      | Error _ -> Error Malformed
+      | Ok (sess, _, _) when sess <> session -> Error Wrong_session
+      | Ok (_, frame, tid) -> Ok (frame, tid))
 
 let decode ~key ~session wire =
   Result.map fst (decode_full ~key ~session wire)
@@ -164,17 +166,6 @@ type channel = {
 
 let channel ?engine () = { engine; fwd = []; rev = []; log = [] }
 let wire_log ch = List.rev ch.log
-let idle ch = ch.fwd = [] && ch.rev = []
-
-let mangle action wire =
-  match action with
-  | Inject.Bit_flip off when Bytes.length wire > 0 ->
-      let b = Bytes.copy wire in
-      let i = off mod Bytes.length b in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-      b
-  | Inject.Torn_write keep -> Bytes.sub wire 0 (min (max keep 0) (Bytes.length wire))
-  | _ -> wire
 
 let push ch site get set wire =
   ch.log <- wire :: ch.log;
@@ -188,7 +179,7 @@ let push ch site get set wire =
   | Some (Inject.Delay n) -> set ch (get ch @ [ { delay = max 1 n; wire } ])
   | Some Inject.Reorder -> set ch ({ delay = 0; wire } :: get ch)
   | Some ((Inject.Bit_flip _ | Inject.Torn_write _) as a) ->
-      let w = mangle a wire in
+      let w = Inject.corrupt (Some a) wire in
       ch.log <- w :: ch.log;
       enqueue w
   | Some _ | None -> enqueue wire
@@ -218,7 +209,7 @@ let pop ch site get set =
           set ch (rest @ [ e ]);
           None
       | Some ((Inject.Bit_flip _ | Inject.Torn_write _) as a) ->
-          let w = mangle a e.wire in
+          let w = Inject.corrupt (Some a) e.wire in
           ch.log <- w :: ch.log;
           Some w
       | Some _ | None -> Some e.wire)
@@ -376,7 +367,8 @@ type receiver = {
   mutable r_nchunks : int;  (* -1 until a valid OFFER arrives *)
   mutable r_blob_len : int;
   mutable r_digest : string;
-  mutable r_chunks : bytes option array;
+  r_chunks : (int, bytes) Hashtbl.t;  (* seq -> payload: grows only with
+                                         chunks that passed their MAC *)
   mutable r_have : int;
   mutable r_blob : bytes option;  (* assembled and digest-verified *)
   mutable r_committed : bool;
@@ -400,7 +392,7 @@ let receiver vmm ~session =
     r_nchunks = -1;
     r_blob_len = 0;
     r_digest = "";
-    r_chunks = [||];
+    r_chunks = Hashtbl.create 16;
     r_have = 0;
     r_blob = None;
     r_committed = false;
@@ -443,7 +435,9 @@ let rejected r why =
    authenticate each piece; the length and digest checks bind the
    *composition* (count, order, total length) to the offer. *)
 let assemble r =
-  let blob = Bytes.concat Bytes.empty (List.filter_map Fun.id (Array.to_list r.r_chunks)) in
+  let blob =
+    Bytes.concat Bytes.empty (List.init r.r_nchunks (Hashtbl.find r.r_chunks))
+  in
   charge_check r.r_vmm (Bytes.length blob);
   if
     Bytes.length blob <> r.r_blob_len
@@ -474,7 +468,6 @@ let deliver r wire =
         r.r_nchunks <- nchunks;
         r.r_blob_len <- blob_len;
         r.r_digest <- digest;
-        r.r_chunks <- Array.make nchunks None;
         let a = ack ack_offer in
         if nchunks = 0 && r.r_blob = None then a :: assemble r else [ a ]
       end
@@ -488,14 +481,14 @@ let deliver r wire =
       if r.r_nchunks < 0 then []
       else if seq >= r.r_nchunks then rejected r Conflict
       else (
-        match r.r_chunks.(seq) with
+        match Hashtbl.find_opt r.r_chunks seq with
         | Some prev when not (Bytes.equal prev payload) ->
             (* two validly-MAC'd payloads for one seq contradict the
                session: refuse rather than pick one *)
             rejected r Conflict
         | Some _ -> [ ack seq ]  (* duplicate delivery: re-ack *)
         | None ->
-            r.r_chunks.(seq) <- Some payload;
+            Hashtbl.replace r.r_chunks seq payload;
             r.r_have <- r.r_have + 1;
             Vmm.charge_copy r.r_vmm ~bytes_count:(Bytes.length payload);
             let a = ack seq in
@@ -512,7 +505,7 @@ let deliver r wire =
   | Ok Abort ->
       r.r_aborted <- true;
       r.r_blob <- None;
-      r.r_chunks <- [||];
+      Hashtbl.reset r.r_chunks;
       [ ack ack_abort ]
   | Ok (Ready | Ack _) -> []  (* reverse frames reflected forward; ignore *)
 

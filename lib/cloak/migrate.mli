@@ -60,6 +60,12 @@ val encode : key:bytes -> session:string -> ?tid:int -> frame -> bytes
     sender/receiver wrappers. *)
 
 val decode : key:bytes -> session:string -> bytes -> (frame, reject) result
+(** Accepts exactly what {!encode} writes, with [0 <= nchunks <= blob_len]
+    and [nchunks = 0] only when [blob_len = 0] on an OFFER (DESIGN.md,
+    "Trust-boundary decoding"); [Malformed] otherwise. *)
+
+val decode_full : key:bytes -> session:string -> bytes -> (frame * int, reject) result
+(** {!decode}, also returning the frame's trace id. *)
 
 (** {1 The untrusted channel}
 
@@ -89,8 +95,6 @@ val recv : channel -> bytes option
 val recv_reply : channel -> bytes option
 (** Deliver the next ripe reverse frame ([Mig_recv] site). *)
 
-val idle : channel -> bool
-(** Both queues empty (nothing in flight, not even delayed frames). *)
 
 val wire_log : channel -> bytes list
 (** Every frame that transited, oldest first, as the OS saw it (including

@@ -25,8 +25,6 @@
 
 type status = Committed | Redone | Torn
 
-val status_to_string : status -> string
-
 type page = {
   resource : Resource.t;
   idx : int;

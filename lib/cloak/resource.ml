@@ -5,23 +5,22 @@ let equal a b =
   | Anon x, Anon y | Shm x, Shm y -> x = y
   | Anon _, Shm _ | Shm _, Anon _ -> false
 
-let hash = function Anon x -> (2 * x) + 1 | Shm x -> 2 * x
-
 let tag = function
   | Anon x -> Printf.sprintf "anon:%d" x
   | Shm x -> Printf.sprintf "shm:%d" x
 
-let of_tag s =
-  match String.index_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let kind = String.sub s 0 i in
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | None -> None
-      | Some n -> (
-          match kind with
-          | "anon" -> Some (Anon n)
-          | "shm" -> Some (Shm n)
-          | _ -> None))
+let read c =
+  let open Oscrypto.Wire in
+  let anon = next_is c 'a' in
+  let kind = literal c (if anon then "anon:" else "shm:") in
+  let n = int c in
+  match (kind, n) with
+  | Ok (), Ok n -> Ok (if anon then Anon n else Shm n)
+  | Error e, _ | _, Error e -> Error e
 
-let pp ppf r = Format.pp_print_string ppf (tag r)
+let of_tag s =
+  let c = Oscrypto.Wire.of_string s in
+  match read c with
+  | Ok r when Result.is_ok (Oscrypto.Wire.eof c) -> Some r
+  | Ok _ | Error _ -> None
+

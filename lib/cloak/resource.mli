@@ -11,12 +11,13 @@ type t =
   | Shm of int   (** a cloaked shared-memory object (also backs protected files) *)
 
 val equal : t -> t -> bool
-val hash : t -> int
 val tag : t -> string
 (** Stable serialization mixed into the page MAC. *)
 
-val of_tag : string -> t option
-(** Parse a {!tag} back; [None] on malformed input (journal records from a
-    corrupted log go through here, so this must never raise). *)
+val read : Oscrypto.Wire.t -> t Oscrypto.Wire.r
+(** Read a {!tag} at the cursor. *)
 
-val pp : Format.formatter -> t -> unit
+val of_tag : string -> t option
+(** Parse a whole {!tag} back; [None] on anything else, including a
+    non-canonical number. *)
+

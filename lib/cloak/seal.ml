@@ -29,9 +29,73 @@ let check_layout layout =
       | _ -> invalid_arg "Seal.capture: layout may not contain '|' or control bytes")
     layout
 
-let render_regs (r : Transfer.regs) =
-  Printf.sprintf "%d|%d|%s" r.pc r.sp
-    (String.concat "," (List.map string_of_int (Array.to_list r.gp)))
+(* --- the blob body (everything the MAC trailer covers) --- *)
+
+let encode r =
+  let buf = Buffer.create (256 + (List.length r.pages * (Addr.page_size + 80))) in
+  Buffer.add_string buf
+    (Printf.sprintf "%s|%s|%d|%d|%d|%d|%s|%s\n" magic (Resource.tag r.resource) r.gen
+       (List.length r.pages) r.regs.pc r.regs.sp
+       (String.concat "," (List.map string_of_int (Array.to_list r.regs.gp)))
+       r.layout);
+  List.iter
+    (fun p ->
+      match p.cipher with
+      | Some cipher ->
+          Buffer.add_string buf
+            (Printf.sprintf "E|%d|%d|%s|%s\n" p.idx p.version
+               (Oscrypto.Sha256.hex p.iv) (Oscrypto.Sha256.hex p.mac));
+          Buffer.add_bytes buf cipher
+      | None -> Buffer.add_string buf (Printf.sprintf "Z|%d\n" p.idx))
+    r.pages;
+  Buffer.to_bytes buf
+
+let read_regs c =
+  let open Oscrypto.Wire in
+  let* pc = int ~sep:'|' c in
+  let* sp = int ~sep:'|' c in
+  let rec words acc =
+    let* w = int c in
+    if next_is c ',' then
+      let* () = literal c "," in
+      words (w :: acc)
+    else Ok (List.rev (w :: acc))
+  in
+  let* gp = if next_is c '|' then Ok [] else words [] in
+  let* () = literal c "|" in
+  Ok { Transfer.pc; sp; gp = Array.of_list gp }
+
+let read_record c =
+  let open Oscrypto.Wire in
+  if next_is c 'Z' then
+    let* () = literal c "Z|" in
+    let* idx = int ~lo:0 ~sep:'\n' c in
+    Ok { idx; version = 0; iv = Bytes.empty; mac = Bytes.empty; cipher = None }
+  else
+    let* () = literal c "E|" in
+    let* idx = int ~lo:0 ~sep:'|' c in
+    let* version = int ~sep:'|' c in
+    let* iv = hex_bytes c 16 in
+    let* () = literal c "|" in
+    let* mac = hex_bytes c 32 in
+    let* () = literal c "\n" in
+    let* cipher = raw c Addr.page_size in
+    Ok { idx; version; iv; mac; cipher = Some cipher }
+
+let read c =
+  let open Oscrypto.Wire in
+  let* () = literal c (magic ^ "|") in
+  let* resource = Resource.read c in
+  let* () = literal c "|" in
+  let* gen = int ~sep:'|' c in
+  let* npages = int ~lo:0 ~sep:'|' c in
+  let* regs = read_regs c in
+  let* layout = field c '\n' in
+  let* pages = count npages read_record c in
+  let* () = eof c in
+  Ok { resource; gen; regs; layout; pages }
+
+let decode body = read (Oscrypto.Wire.of_bytes body)
 
 (* --- capture --- *)
 
@@ -68,9 +132,10 @@ and capture_body vmm ~resource ~regs ~layout ~read_page =
      leaving plaintext residue, and the checkpoint goes to OS-visible
      storage — so seal only authenticated bytes. Aborting here consumes no
      generation, so the supervisor's last good checkpoint stays fresh. *)
-  let images =
+  let pages =
     List.map
       (fun (idx, (e : Metadata.entry)) ->
+        let page cipher = { idx; version = e.version; iv = e.iv; mac = e.mac; cipher } in
         match e.state with
         | Metadata.Encrypted ->
             let cipher = read_page idx in
@@ -81,8 +146,8 @@ and capture_body vmm ~resource ~regs ~layout ~read_page =
                 "page %d of %s fails authentication at checkpoint capture (torn \
                  or tampered frame)"
                 idx tag;
-            (idx, e, Some cipher)
-        | Zero -> (idx, e, None)
+            page (Some cipher)
+        | Zero -> page None
         | Plain _ ->
             (* unreachable after seal_resource unless the OS raced the VMM,
                which the model forbids *)
@@ -93,73 +158,19 @@ and capture_body vmm ~resource ~regs ~layout ~read_page =
      exists, so a crash can lose the new checkpoint but never unstale an
      old one *)
   let gen = Vmm.bump_seal_generation vmm ~tag in
-  let buf = Buffer.create (256 + (List.length entries * (Addr.page_size + 80))) in
-  Buffer.add_string buf
-    (Printf.sprintf "%s|%s|%d|%d|%s|%s\n" magic tag gen (List.length entries)
-       (render_regs regs) layout);
+  let body = encode { resource; gen; regs; layout; pages } in
   List.iter
-    (fun (idx, (e : Metadata.entry), cipher) ->
-      match cipher with
-      | Some cipher ->
-          Buffer.add_string buf
-            (Printf.sprintf "E|%d|%d|%s|%s\n" idx e.version
-               (Oscrypto.Sha256.hex e.iv) (Oscrypto.Sha256.hex e.mac));
-          Buffer.add_bytes buf cipher;
-          Vmm.charge_copy vmm ~bytes_count:Addr.page_size
-      | None -> Buffer.add_string buf (Printf.sprintf "Z|%d\n" idx))
-    images;
-  let body = Buffer.to_bytes buf in
+    (fun p -> if p.cipher <> None then Vmm.charge_copy vmm ~bytes_count:Addr.page_size)
+    pages;
   let blob = Bytes.cat body (Oscrypto.Hmac.mac ~key:(Vmm.seal_key vmm) body) in
   (Vmm.counters vmm).seal_checkpoints <- (Vmm.counters vmm).seal_checkpoints + 1;
   Inject.Audit.record (Vmm.audit vmm) "seal capture resource=%s gen=%d pages=%d" tag
     gen (List.length entries);
   (* hostile world: the checkpoint's trip to (OS-visible) storage may tear
      or flip bits — unseal must catch both *)
-  match Inject.fire_opt (Vmm.engine vmm) Inject.Seal_write with
-  | Some (Inject.Torn_write keep) -> Bytes.sub blob 0 (min keep (Bytes.length blob))
-  | Some (Inject.Bit_flip off) when Bytes.length blob > 0 ->
-      let b = Bytes.copy blob in
-      let i = off mod Bytes.length b in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-      b
-  | Some _ | None -> blob
+  Inject.corrupt (Inject.fire_opt (Vmm.engine vmm) Inject.Seal_write) blob
 
 (* --- unseal --- *)
-
-let of_hex s =
-  let digit c =
-    match c with
-    | '0' .. '9' -> Some (Char.code c - Char.code '0')
-    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-    | _ -> None
-  in
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let out = Bytes.create (n / 2) in
-    let ok = ref true in
-    for i = 0 to (n / 2) - 1 do
-      match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
-      | Some hi, Some lo -> Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
-      | _ -> ok := false
-    done;
-    if !ok then Some out else None
-
-let parse_regs ~pc ~sp ~gp =
-  match (int_of_string_opt pc, int_of_string_opt sp) with
-  | Some pc, Some sp -> (
-      let words = if gp = "" then [] else String.split_on_char ',' gp in
-      match
-        List.fold_right
-          (fun w acc ->
-            match (int_of_string_opt w, acc) with
-            | Some v, Some tl -> Some (v :: tl)
-            | _ -> None)
-          words (Some [])
-      with
-      | Some ws -> Some { Transfer.pc; sp; gp = Array.of_list ws }
-      | None -> None)
-  | _ -> None
 
 let rec unseal vmm blob =
   let tr = Vmm.trace vmm in
@@ -177,85 +188,29 @@ let rec unseal vmm blob =
 
 and unseal_body vmm blob =
   (* hostile world: the blob may have been corrupted at rest *)
-  let blob =
-    match Inject.fire_opt (Vmm.engine vmm) Inject.Restore with
-    | Some (Inject.Bit_flip off) when Bytes.length blob > 0 ->
-        let b = Bytes.copy blob in
-        let i = off mod Bytes.length b in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-        b
-    | Some _ | None -> blob
+  let blob = Inject.corrupt (Inject.fire_opt (Vmm.engine vmm) Inject.Restore) blob in
+  (* the whole blob is authenticated and parsed before any VMM state
+     moves: a refused blob leaves the seal generations as they were *)
+  let r =
+    match Oscrypto.Wire.(let* c = authenticated ~key:(Vmm.seal_key vmm) blob in read c) with
+    | Ok r -> r
+    | Error (Malformed { offset; what }) ->
+        Vmm.violate vmm Violation.Metadata_forged
+          "sealed checkpoint refused at byte %d: %s" offset what
   in
-  let forged fmt = Vmm.violate vmm Violation.Metadata_forged fmt in
-  let total = Bytes.length blob in
-  if total < 32 then forged "sealed checkpoint truncated";
-  let body = Bytes.sub blob 0 (total - 32) in
-  let tag' = Bytes.sub blob (total - 32) 32 in
-  if not (Oscrypto.Hmac.verify ~key:(Vmm.seal_key vmm) ~tag:tag' body) then
-    forged "sealed checkpoint fails authentication";
-  (* everything below sits behind a valid VMM MAC, so a parse failure means
-     a bug, not an attack — but refusing loudly is still the right default *)
-  let header_end =
-    match Bytes.index_opt body '\n' with
-    | Some i -> i
-    | None -> forged "sealed checkpoint missing header"
-  in
-  let resource, gen, npages, regs, layout =
-    match String.split_on_char '|' (Bytes.sub_string body 0 header_end) with
-    | [ m; tag; gen; npages; pc; sp; gp; layout ] when m = magic -> (
-        match
-          (Resource.of_tag tag, int_of_string_opt gen, int_of_string_opt npages,
-           parse_regs ~pc ~sp ~gp)
-        with
-        | Some resource, Some gen, Some npages, Some regs ->
-            (resource, gen, npages, regs, layout)
-        | _ -> forged "sealed checkpoint header malformed")
-    | _ -> forged "sealed checkpoint header malformed"
-  in
-  let tag = Resource.tag resource in
+  let tag = Resource.tag r.resource in
   (* freshness: the journal-anchored seal generation is the rollback
      horizon — any older blob authenticates fine and must still be
      refused *)
   let current = Vmm.seal_generation vmm ~tag in
-  if gen < current then
-    Vmm.violate vmm ~resource Violation.Stale_checkpoint
-      "sealed checkpoint for %s is stale (generation %d, latest sealed %d)" tag gen
+  if r.gen < current then
+    Vmm.violate vmm ~resource:r.resource Violation.Stale_checkpoint
+      "sealed checkpoint for %s is stale (generation %d, latest sealed %d)" tag r.gen
       current;
-  Vmm.restore_seal_generation vmm ~tag ~gen;
-  let pos = ref (header_end + 1) in
-  let line () =
-    match Bytes.index_from_opt body !pos '\n' with
-    | None -> forged "sealed checkpoint page records truncated"
-    | Some nl ->
-        let l = Bytes.sub_string body !pos (nl - !pos) in
-        pos := nl + 1;
-        l
-  in
-  let pages =
-    List.init npages (fun _ ->
-        match String.split_on_char '|' (line ()) with
-        | [ "E"; idx; version; iv; mac ] -> (
-            match
-              (int_of_string_opt idx, int_of_string_opt version, of_hex iv, of_hex mac)
-            with
-            | Some idx, Some version, Some iv, Some mac ->
-                if !pos + Addr.page_size > Bytes.length body then
-                  forged "sealed checkpoint page image truncated";
-                let cipher = Bytes.sub body !pos Addr.page_size in
-                pos := !pos + Addr.page_size;
-                { idx; version; iv; mac; cipher = Some cipher }
-            | _ -> forged "sealed checkpoint page record malformed")
-        | [ "Z"; idx ] -> (
-            match int_of_string_opt idx with
-            | Some idx ->
-                { idx; version = 0; iv = Bytes.create 0; mac = Bytes.create 0;
-                  cipher = None }
-            | None -> forged "sealed checkpoint page record malformed")
-        | _ -> forged "sealed checkpoint page record malformed")
-  in
+  Vmm.restore_seal_generation vmm ~tag ~gen:r.gen;
   Inject.Audit.record (Vmm.audit vmm) "seal unseal resource=%s gen=%d pages=%d" tag
-    gen npages;
-  { resource; gen; regs; layout; pages }
+    r.gen (List.length r.pages);
+  r
 
 (* --- install --- *)
 

@@ -37,6 +37,13 @@ type restored = {
   pages : page list;
 }
 
+val encode : restored -> bytes
+(** The body the MAC trailer covers (a [Z] page's version, iv and mac
+    are not written). *)
+
+val decode : bytes -> (restored, Oscrypto.Wire.error) result
+(** The parse {!unseal} runs on an authenticated body. *)
+
 val capture :
   Vmm.t ->
   resource:Resource.t ->
@@ -61,9 +68,10 @@ val unseal : Vmm.t -> bytes -> restored
 (** Authenticate and parse a checkpoint blob. Raises
     {!Violation.Security_fault} with [Metadata_forged] on any tampering or
     truncation, and with [Stale_checkpoint] if the blob's generation is
-    older than the resource's journal-anchored latest. On success the seal
-    generation table absorbs the blob's generation. Subject to the
-    [Restore] injection site. *)
+    older than the resource's journal-anchored latest. The whole blob is
+    parsed before any state changes: on success the seal generation table
+    absorbs the blob's generation, on a refusal it is untouched. Subject
+    to the [Restore] injection site. *)
 
 val install :
   ?consume:bool -> Vmm.t -> restored -> write_page:(int -> bytes -> unit) -> unit

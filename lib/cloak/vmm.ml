@@ -966,7 +966,56 @@ let clone_cloaked t ~src_asid ~dst_asid =
 
 (* --- protected metadata persistence --- *)
 
-let blob_magic = "OVSHM1"
+module Export = struct
+  type t = { id : int; generation : int; logical_size : int; pages : Journal.page option list }
+
+  let magic = "OVSHM1"
+
+  (* a never-written page: 'Z', a zero version and 48 zero bytes, so every
+     record is 65 bytes wide *)
+  let zero_record = "Z" ^ String.make 16 '0' ^ String.make 48 '\000'
+
+  let encode x =
+    let buf = Buffer.create (64 + (List.length x.pages * 57)) in
+    Buffer.add_string buf
+      (Printf.sprintf "%s|shm:%d|%d|%d|%d\n" magic x.id x.generation x.logical_size
+         (List.length x.pages));
+    List.iter
+      (function
+        | Some (p : Journal.page) ->
+            Buffer.add_char buf 'E';
+            Buffer.add_string buf (Printf.sprintf "%016x" p.version);
+            Buffer.add_bytes buf p.iv;
+            Buffer.add_bytes buf p.mac
+        | None -> Buffer.add_string buf zero_record)
+      x.pages;
+    Buffer.to_bytes buf
+
+  let read_page c =
+    let open Oscrypto.Wire in
+    if next_is c 'Z' then
+      let* () = literal c zero_record in
+      Ok None
+    else
+      let* () = literal c "E" in
+      let* version = hex_int c ~width:16 in
+      let* iv = raw c 16 in
+      let* mac = raw c 32 in
+      Ok (Some { Journal.version; iv; mac })
+
+  let read c =
+    let open Oscrypto.Wire in
+    let* () = literal c (magic ^ "|shm:") in
+    let* id = int ~sep:'|' c in
+    let* generation = int ~sep:'|' c in
+    let* logical_size = int ~sep:'|' c in
+    let* npages = int ~lo:0 ~sep:'\n' c in
+    let* pages = count npages read_page c in
+    let* () = eof c in
+    Ok { id; generation; logical_size; pages }
+
+  let decode body = read (Oscrypto.Wire.of_bytes body)
+end
 
 let export_metadata t resource ~pages ~logical_size =
   seal_resource t resource;
@@ -981,67 +1030,39 @@ let export_metadata t resource ~pages ~logical_size =
   | Some j ->
       Journal.record j (Generation { id; gen = generation; size = logical_size; pages })
   | None -> ());
-  let buf = Buffer.create (64 + (pages * 57)) in
-  Buffer.add_string buf
-    (Printf.sprintf "%s|%s|%d|%d|%d\n" blob_magic (Resource.tag resource) generation
-       logical_size pages);
-  for idx = 0 to pages - 1 do
-    match Metadata.find t.meta resource idx with
-    | Some ({ state = Encrypted; _ } as e) ->
-        Buffer.add_char buf 'E';
-        Buffer.add_string buf (Printf.sprintf "%016x" e.version);
-        Buffer.add_bytes buf e.iv;
-        Buffer.add_bytes buf e.mac
-    | Some _ | None ->
-        Buffer.add_char buf 'Z';
-        Buffer.add_string buf (String.make 16 '0');
-        Buffer.add_string buf (String.make 48 '\000')
-  done;
-  let body = Buffer.to_bytes buf in
-  let tag = Oscrypto.Hmac.mac ~key:t.mac_key body in
-  let blob = Bytes.cat body tag in
+  let body =
+    Export.encode
+      {
+        id;
+        generation;
+        logical_size;
+        pages =
+          List.init pages (fun idx ->
+              match Metadata.find t.meta resource idx with
+              | Some ({ state = Encrypted; _ } as e) ->
+                  Some { Journal.version = e.version; iv = e.iv; mac = e.mac }
+              | Some _ | None -> None);
+      }
+  in
+  let blob = Bytes.cat body (Oscrypto.Hmac.mac ~key:t.mac_key body) in
   (* hostile world: the write of the blob to stable storage may tear *)
-  match Inject.fire_opt t.engine Inject.Meta_export with
-  | Some (Inject.Torn_write keep) -> Bytes.sub blob 0 (min keep (Bytes.length blob))
-  | Some _ | None -> blob
+  Inject.corrupt (Inject.fire_opt t.engine Inject.Meta_export) blob
 
 type imported = { resource : Resource.t; logical_size : int; pages : int }
 
 let import_metadata t blob =
   (* hostile world: the blob may have been corrupted at rest *)
-  let blob =
-    match Inject.fire_opt t.engine Inject.Meta_import with
-    | Some (Inject.Bit_flip off) when Bytes.length blob > 0 ->
-        let b = Bytes.copy blob in
-        let i = off mod Bytes.length b in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-        b
-    | Some _ | None -> blob
+  let blob = Inject.corrupt (Inject.fire_opt t.engine Inject.Meta_import) blob in
+  (* the whole blob is authenticated and parsed before any metadata,
+     generation or journal state moves *)
+  let x =
+    match Oscrypto.Wire.(let* c = authenticated ~key:t.mac_key blob in Export.read c) with
+    | Ok x -> x
+    | Error (Malformed { offset; what }) ->
+        violate t Metadata_forged "metadata blob refused at byte %d: %s" offset what
   in
-  let total = Bytes.length blob in
-  if total < 32 then violate t Metadata_forged "metadata blob truncated";
-  let body = Bytes.sub blob 0 (total - 32) in
-  let tag = Bytes.sub blob (total - 32) 32 in
-  if not (Oscrypto.Hmac.verify ~key:t.mac_key ~tag body) then
-    violate t Metadata_forged "metadata blob fails authentication";
-  let header_end =
-    match Bytes.index_opt body '\n' with
-    | Some i -> i
-    | None -> violate t Metadata_forged "metadata blob missing header"
-  in
-  let header = Bytes.sub_string body 0 header_end in
-  let id, generation, logical_size, pages =
-    match String.split_on_char '|' header with
-    | [ magic; tag'; generation; size; pages ] when magic = blob_magic -> (
-        match String.split_on_char ':' tag' with
-        | [ "shm"; id ] ->
-            ( int_of_string id,
-              int_of_string generation,
-              int_of_string size,
-              int_of_string pages )
-        | _ -> violate t Metadata_forged "metadata blob has non-shm resource")
-    | _ -> violate t Metadata_forged "metadata blob header malformed"
-  in
+  let { Export.id; generation; logical_size; _ } = x in
+  let pages = List.length x.pages in
   (match Hashtbl.find_opt t.generations id with
   | Some current when generation < current ->
       violate t ~resource:(Resource.Shm id) Metadata_forged
@@ -1061,46 +1082,30 @@ let import_metadata t blob =
         Journal.record j (Generation { id; gen = generation; size = logical_size; pages })
   | None -> ());
   Metadata.drop_resource t.meta resource;
-  let pos = ref (header_end + 1) in
-  for idx = 0 to pages - 1 do
-    let flag = Bytes.get body !pos in
-    let version = int_of_string ("0x" ^ Bytes.sub_string body (!pos + 1) 16) in
-    let iv = Bytes.sub body (!pos + 17) 16 in
-    let mac = Bytes.sub body (!pos + 33) 32 in
-    pos := !pos + 65;
-    let e = Metadata.find_or_add t.meta resource idx in
-    match flag with
-    | 'Z' ->
-        e.state <- Zero;
-        journal_drop_page t resource idx
-    | 'E' ->
-        e.state <- Encrypted;
-        e.version <- version;
-        e.iv <- iv;
-        e.mac <- mac;
-        (* re-journal only if the journal's view differs — an unchanged page
-           keeps its recorded durable bind (the content file still holds its
-           authoritative ciphertext) *)
-        let changed =
-          match t.journal with
-          | None -> false
-          | Some j -> (
-              match
-                Hashtbl.find_opt (Journal.state j).Journal.pages
-                  (Resource.tag resource, idx)
-              with
-              | Some p ->
-                  not
-                    (p.Journal.version = e.version
-                    && Bytes.equal p.Journal.iv e.iv
-                    && Bytes.equal p.Journal.mac e.mac)
-              | None -> true)
-        in
-        if changed then journal_update t resource idx e
-    | _ ->
-        violate t ~resource Metadata_forged
-          "metadata blob has corrupt page record"
-  done;
+  List.iteri
+    (fun idx page ->
+      let e = Metadata.find_or_add t.meta resource idx in
+      match page with
+      | None ->
+          e.state <- Zero;
+          journal_drop_page t resource idx
+      | Some ({ Journal.version; iv; mac } as page) ->
+          e.state <- Encrypted;
+          e.version <- version;
+          e.iv <- iv;
+          e.mac <- mac;
+          (* re-journal only if the journal's view differs — an unchanged
+             page keeps its recorded durable bind (the content file still
+             holds its authoritative ciphertext) *)
+          let changed =
+            match t.journal with
+            | None -> false
+            | Some j ->
+                Hashtbl.find_opt (Journal.state j).Journal.pages (Resource.tag resource, idx)
+                <> Some page
+          in
+          if changed then journal_update t resource idx e)
+    x.pages;
   { resource; logical_size; pages }
 
 (* --- recovery support ---

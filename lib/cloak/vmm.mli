@@ -197,8 +197,26 @@ type imported = { resource : Resource.t; logical_size : int; pages : int }
 
 val import_metadata : t -> bytes -> imported
 (** Verify and install an exported metadata blob. Raises
-    {!Violation.Security_fault} with [Metadata_forged] on tampering or on
-    replay of a stale generation. *)
+    {!Violation.Security_fault} with [Metadata_forged] on tampering, on a
+    malformed body or on replay of a stale generation; the blob is parsed
+    whole first, so a refusal changes no metadata, generation or journal
+    state. *)
+
+(** The body of an exported blob (what its MAC trailer covers):
+    [OVSHM1|shm:id|generation|size|pages\n], then one 65-byte record per
+    page: ['E'], the version as 16 hex digits, the 16-byte IV and the
+    32-byte MAC; or ['Z'], sixteen ['0'] and 48 zero bytes. *)
+module Export : sig
+  type t = {
+    id : int;  (** the shm object *)
+    generation : int;
+    logical_size : int;
+    pages : Journal.page option list;  (** [None]: never-written page *)
+  }
+
+  val encode : t -> bytes
+  val decode : bytes -> (t, Oscrypto.Wire.error) result
+end
 
 (** {1 Crash-consistent metadata journal}
 

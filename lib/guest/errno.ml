@@ -30,6 +30,4 @@ let to_string = function
   | ENOSPC -> "ENOSPC"
   | EIO -> "EIO"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 exception Error of t

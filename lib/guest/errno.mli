@@ -18,7 +18,6 @@ type t =
   | EIO  (** device error that survived the kernel's bounded retries *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 exception Error of t
 (** Raised by the user-level API when a syscall fails. *)

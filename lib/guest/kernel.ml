@@ -155,7 +155,6 @@ let transfer t = t.transfer
 let config t = t.cfg
 let violations t = t.violations
 let exit_status t ~pid = Hashtbl.find_opt t.exit_log pid
-let proc_count t = Hashtbl.length t.procs
 
 (* --- guest physical page pool with swap-backed eviction --- *)
 

@@ -39,9 +39,6 @@ type restart_policy = {
           0 means only explicit {!Abi.Checkpoint} hypercalls capture *)
 }
 
-val default_policy : restart_policy
-(** [{ restart_budget = 5; backoff_cycles = 50_000; ckpt_every = 0 }] *)
-
 type t
 
 exception Deadlock of string
@@ -110,9 +107,6 @@ val exit_status : t -> pid:int -> int option
 
 val violations : t -> (int * Cloak.Violation.t) list
 (** Security faults the VMM raised, with the victim pid, newest first. *)
-
-val proc_count : t -> int
-(** Processes not yet fully reaped (for tests). *)
 
 type supervision_stats = {
   sup_pid : int;

@@ -7,9 +7,7 @@ type t
 
 val create : id:int -> capacity:int -> t
 val id : t -> int
-val buffered : t -> int
 val readers : t -> int
-val writers : t -> int
 val add_reader : t -> unit
 val add_writer : t -> unit
 val close_reader : t -> unit

@@ -38,9 +38,6 @@ val with_backoff :
     total past the deadline, [exhausted] is raised even if attempts
     remain. Omitting both leaves the historical behaviour byte-identical. *)
 
-val io_retry_limit : int
-(** Retries granted to transient device errors before EIO (3). *)
-
 val io_deadline_cycles : Cloak.Vmm.t -> int
 (** The default cumulative-backoff ceiling for guest device retries
     (16 × the cost model's [disk_op]). Strictly above the 15 × [disk_op] a
@@ -53,7 +50,7 @@ val disk :
   ?deadline_cycles:int -> ?jitter:Oscrypto.Prng.t -> Cloak.Vmm.t ->
   (unit -> 'a) -> 'a
 (** The guest's device-I/O instance: retries {!Blockdev.Io_error} up to
-    {!io_retry_limit} times, charging idle disk waits ([disk_op * 2^a])
+    3 times, charging idle disk waits ([disk_op * 2^a])
     and bumping the [io_retries] counter once per failure, then raises
     [Errno.Error EIO]. A failed DMA has no effect, so the retry is always
     safe. [?deadline_cycles] / [?jitter] pass through to

@@ -65,7 +65,6 @@ type sim = {
 }
 
 val sheds_total : sim -> int
-val budget_pct : sim -> float
 val goodput : sim -> int
 (** Requests answered within the latency budget. *)
 

@@ -32,4 +32,3 @@ val count : t -> int
 val dropped : t -> int
 (** Entries evicted from the ring so far. *)
 
-val pp : Format.formatter -> t -> unit

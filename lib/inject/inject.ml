@@ -104,23 +104,11 @@ type plan = { seed : int; rules : rule list }
 
 let plan ?(seed = 0) rules = { seed; rules }
 
-let pp_rule ppf r =
-  Format.fprintf ppf "%s %s start=%d every=%d count=%s"
-    (site_to_string r.site) (action_to_string r.action) r.trigger.start
-    r.trigger.every
-    (if r.trigger.count = max_int then "inf" else string_of_int r.trigger.count)
-
-let pp_plan ppf p =
-  Format.fprintf ppf "@[<v>plan seed=%d (%d rules)@," p.seed (List.length p.rules);
-  List.iter (fun r -> Format.fprintf ppf "  %a@," pp_rule r) p.rules;
-  Format.fprintf ppf "@]"
-
 (* --- engine --- *)
 
 type armed = { rule : rule; mutable fired : int }
 
 type t = {
-  plan : plan;
   armed : armed list;
   occurrences : (site, int) Hashtbl.t;
   audit : Audit.t;
@@ -129,7 +117,6 @@ type t = {
 
 let create ?audit plan =
   {
-    plan;
     armed = List.map (fun rule -> { rule; fired = 0 }) plan.rules;
     occurrences = Hashtbl.create 16;
     audit = (match audit with Some a -> a | None -> Audit.create ());
@@ -138,7 +125,6 @@ let create ?audit plan =
 
 let audit t = t.audit
 let injections t = t.injections
-let the_plan t = t.plan
 
 let matches occ (a : armed) =
   let { start; every; count } = a.rule.trigger in
@@ -167,6 +153,16 @@ let fire t site =
   scan t.armed
 
 let fire_opt t site = match t with None -> None | Some t -> fire t site
+
+let corrupt action data =
+  match action with
+  | Some (Bit_flip off) when Bytes.length data > 0 ->
+      let b = Bytes.copy data in
+      let i = off mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      b
+  | Some (Torn_write keep) -> Bytes.sub data 0 (min (max keep 0) (Bytes.length data))
+  | Some _ | None -> data
 
 let occurrences t site =
   Option.value ~default:0 (Hashtbl.find_opt t.occurrences site)

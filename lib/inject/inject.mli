@@ -42,7 +42,6 @@ type site =
   | Hb_send      (** fleet heartbeat handed to the untrusted network *)
   | Host_power   (** a whole fleet host's power feed (Crash_point kills it) *)
 
-val all_sites : site list
 val site_to_string : site -> string
 
 val site_of_string : string -> site option
@@ -65,8 +64,6 @@ type action =
   | Drop                (** lose this frame in flight (lossy channel) *)
   | Duplicate           (** deliver this frame twice (replaying channel) *)
   | Delay of int        (** hold this frame back for [n] deliveries *)
-
-val action_to_string : action -> string
 
 exception Vmm_crash of string
 (** The simulated power cut, carrying the site name it fired at. Raised by
@@ -95,9 +92,6 @@ val random_plan : seed:int -> plan
 (** A small plan drawn deterministically from [seed]: 1-6 rules over the
     full site menu with site-appropriate actions. *)
 
-val pp_rule : Format.formatter -> rule -> unit
-val pp_plan : Format.formatter -> plan -> unit
-
 (** {1 Engine} *)
 
 type t
@@ -115,9 +109,14 @@ val fire_opt : t option -> site -> action option
 (** [fire] through an optional engine; [None] engines never fire — the
     fast path when injection is disabled. *)
 
+val corrupt : action option -> bytes -> bytes
+(** What a persisted or transmitted blob looks like after the action a
+    site drew: [Bit_flip off] flips the low bit of byte [off mod length]
+    (in a copy), [Torn_write n] keeps the first [n] bytes; any other
+    action, or none, leaves the blob as it is. *)
+
 val audit : t -> Audit.t
 val injections : t -> int
 (** Total rule firings so far. *)
 
 val occurrences : t -> site -> int
-val the_plan : t -> plan

@@ -13,8 +13,6 @@ type vaddr = int
 val page_size : int
 (** 4096 bytes. *)
 
-val page_shift : int
-
 val vpn_of_vaddr : vaddr -> vpn
 val offset_of_vaddr : vaddr -> int
 val vaddr_of_vpn : vpn -> vaddr

@@ -10,3 +10,7 @@ val mac_string : key:string -> string -> bytes
 
 val verify : key:bytes -> tag:bytes -> bytes -> bool
 (** Constant-shape comparison of [tag] against the recomputed MAC. *)
+
+val verify_trailer : key:bytes -> bytes -> len:int -> bool
+(** Whether the 32 bytes at [len] are the MAC of the first [len] bytes,
+    checked in place; [false] when the buffer is too short. *)

@@ -102,9 +102,6 @@ let feed t buf ~pos ~len =
     end
   done
 
-let feed_string t s =
-  feed t (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
 let finalize t =
   assert (not t.finalized);
   t.finalized <- true;

@@ -11,9 +11,6 @@ val init : unit -> t
 val feed : t -> bytes -> pos:int -> len:int -> unit
 (** Absorb [len] bytes of input starting at [pos]. *)
 
-val feed_string : t -> string -> unit
-(** Absorb a whole string. *)
-
 val finalize : t -> bytes
 (** Produce the 32-byte digest. The context must not be reused afterwards. *)
 

@@ -57,10 +57,6 @@ val of_events : root:string -> total_cycles:int -> Trace.event list -> t
 val root : t -> node
 val total_cycles : t -> int
 
-val label_of_event : Trace.event -> string
-(** The tree label an event folds under: [syscall:<name>] for syscall
-    spans (the site is the call name), the kind name otherwise. *)
-
 (** {1 Queries} *)
 
 val top_self : t -> n:int -> (string list * node) list

@@ -66,10 +66,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 (** {1 Baselines file} *)
 
-val to_report : tolerance_pct:float -> metric list -> Report.t
-(** The committed-baselines document ([benchmark: "regress-baselines"],
-    carrying the tolerance and a name→value metric map). *)
-
 val write_baselines : path:string -> tolerance_pct:float -> metric list -> unit
 
 val load_baselines : path:string -> float option * (string * int) list

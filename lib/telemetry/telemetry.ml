@@ -240,40 +240,23 @@ type gcell = {
   mutable g_max : int;
 }
 
-type wcell =
-  | Wcount of int ref
-  | Wgauge of gcell
-  | Wdist of Trace.Hist.h
-
-type kind = Kcounter | Kgauge | Khist
-
-type series = {
-  s_kind : kind;
-  s_cells : (int, wcell) Hashtbl.t;  (* window index -> cell *)
-}
+(* One table per instrument kind, each mapping (name, host) to that
+   kind's window cells (window index -> cell), so a cell can only ever be
+   written by its own kind's instrument. *)
+type 'cell table = (string * int, (int, 'cell) Hashtbl.t) Hashtbl.t
 
 type t = {
   live : bool;
   width : int;
   span_cap : int;
-  series : (string * int, series) Hashtbl.t;  (* (name, host) *)
+  counters : int ref table;
+  gauges : gcell table;
+  hists : Trace.Hist.h table;
   mutable t_samples : int;
   mutable t_spans : Causal.span list;  (* newest first *)
   mutable t_span_count : int;
   mutable t_spans_dropped : int;
 }
-
-let null =
-  {
-    live = false;
-    width = default_window_cycles;
-    span_cap = 0;
-    series = Hashtbl.create 1;
-    t_samples = 0;
-    t_spans = [];
-    t_span_count = 0;
-    t_spans_dropped = 0;
-  }
 
 let create ?(window_cycles = default_window_cycles)
     ?(span_cap = default_span_cap) () =
@@ -283,76 +266,78 @@ let create ?(window_cycles = default_window_cycles)
     live = true;
     width = window_cycles;
     span_cap;
-    series = Hashtbl.create 32;
+    counters = Hashtbl.create 16;
+    gauges = Hashtbl.create 8;
+    hists = Hashtbl.create 8;
     t_samples = 0;
     t_spans = [];
     t_span_count = 0;
     t_spans_dropped = 0;
   }
 
+let null = { (create ()) with live = false; span_cap = 0 }
+
 let enabled t = t.live
 let window_cycles t = t.width
 let window_of t cycles = if cycles < 0 then 0 else cycles / t.width
 
-let kind_name = function
-  | Kcounter -> "counter"
-  | Kgauge -> "gauge"
-  | Khist -> "histogram"
+let kind_of t key =
+  if Hashtbl.mem t.counters key then Some "counter"
+  else if Hashtbl.mem t.gauges key then Some "gauge"
+  else if Hashtbl.mem t.hists key then Some "histogram"
+  else None
 
-let find_series t name host kind =
-  match Hashtbl.find_opt t.series (name, host) with
-  | Some s ->
-      if s.s_kind <> kind then
-        invalid_arg
-          (Printf.sprintf "Telemetry: series %S is a %s, not a %s" name
-             (kind_name s.s_kind) (kind_name kind));
-      s
+(* The cells of series (name, host) in [table], created on first write
+   unless another kind's table already holds the series. *)
+let cells t table kind name host =
+  match Hashtbl.find_opt table (name, host) with
+  | Some cells -> cells
   | None ->
-      let s = { s_kind = kind; s_cells = Hashtbl.create 8 } in
-      Hashtbl.replace t.series (name, host) s;
-      s
+      (match kind_of t (name, host) with
+      | Some other ->
+          invalid_arg
+            (Printf.sprintf "Telemetry: series %S is a %s, not a %s" name other kind)
+      | None -> ());
+      let cells = Hashtbl.create 8 in
+      Hashtbl.replace table (name, host) cells;
+      cells
 
 let incr t ?(host = -1) ?(by = 1) ~at name =
   if t.live then begin
-    let s = find_series t name host Kcounter in
+    let cells = cells t t.counters "counter" name host in
     let w = window_of t at in
-    (match Hashtbl.find_opt s.s_cells w with
-    | Some (Wcount r) -> r := !r + by
-    | Some _ -> assert false
-    | None -> Hashtbl.replace s.s_cells w (Wcount (ref by)));
+    (match Hashtbl.find_opt cells w with
+    | Some r -> r := !r + by
+    | None -> Hashtbl.replace cells w (ref by));
     t.t_samples <- t.t_samples + 1
   end
 
 let gauge t ?(host = -1) ~at name v =
   if t.live then begin
-    let s = find_series t name host Kgauge in
+    let cells = cells t t.gauges "gauge" name host in
     let w = window_of t at in
-    (match Hashtbl.find_opt s.s_cells w with
-    | Some (Wgauge g) ->
+    (match Hashtbl.find_opt cells w with
+    | Some g ->
         if at >= g.g_stamp then begin
           g.g_stamp <- at;
           g.g_value <- v
         end;
         g.g_min <- min g.g_min v;
         g.g_max <- max g.g_max v
-    | Some _ -> assert false
-    | None ->
-        Hashtbl.replace s.s_cells w
-          (Wgauge { g_stamp = at; g_value = v; g_min = v; g_max = v }));
+    | None -> Hashtbl.replace cells w { g_stamp = at; g_value = v; g_min = v; g_max = v });
     t.t_samples <- t.t_samples + 1
   end
 
 let observe t ?(host = -1) ~at name v =
   if t.live then begin
-    let s = find_series t name host Khist in
+    let cells = cells t t.hists "histogram" name host in
     let w = window_of t at in
     let h =
-      match Hashtbl.find_opt s.s_cells w with
-      | Some (Wdist h) -> h
-      | Some _ -> assert false
+      match Hashtbl.find_opt cells w with
+      | Some h -> h
       | None ->
           let h = Trace.Hist.create () in
-          Hashtbl.replace s.s_cells w (Wdist h);
+          Hashtbl.replace cells w h;
           h
     in
     Trace.Hist.add h v;
@@ -385,155 +370,108 @@ let samples t = t.t_samples
 let span_count t = t.t_span_count
 let spans_dropped t = t.t_spans_dropped
 
-let names t =
-  Hashtbl.fold
-    (fun (name, _) _ acc -> if List.mem name acc then acc else name :: acc)
-    t.series []
-  |> List.sort compare
+let fold_keys t f acc =
+  let over table acc = Hashtbl.fold (fun key _ acc -> f key acc) table acc in
+  over t.counters (over t.gauges (over t.hists acc))
+
+let names t = List.sort_uniq compare (fold_keys t (fun (n, _) acc -> n :: acc) [])
 
 let hosts t name =
-  Hashtbl.fold
-    (fun (n, h) _ acc -> if n = name then h :: acc else acc)
-    t.series []
-  |> List.sort_uniq compare
+  List.sort_uniq compare (fold_keys t (fun (n, h) acc -> if n = name then h :: acc else acc) [])
 
-let sorted_cells s =
-  Hashtbl.fold (fun w c acc -> (w, c) :: acc) s.s_cells []
+let ascending cells =
+  Hashtbl.fold (fun w c acc -> (w, c) :: acc) cells []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let counter_windows t ?(host = -1) name =
-  match Hashtbl.find_opt t.series (name, host) with
+(* One series' cells ascending by window; empty when never written. *)
+let windows table ?(host = -1) name =
+  match Hashtbl.find_opt table (name, host) with
   | None -> []
-  | Some s ->
-      sorted_cells s
-      |> List.map (fun (w, c) ->
-             match c with Wcount r -> (w, !r) | _ -> (w, 0))
+  | Some cells -> ascending cells
+
+(* Per-window cells combined across every host carrying [name]. *)
+let windows_all t table ~combine name =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun host ->
+      List.iter
+        (fun (w, c) ->
+          Hashtbl.replace tbl w
+            (match Hashtbl.find_opt tbl w with None -> c | Some prev -> combine prev c))
+        (windows table ~host name))
+    (hosts t name);
+  ascending tbl
+
+let counter_windows t ?host name =
+  List.map (fun (w, r) -> (w, !r)) (windows t.counters ?host name)
 
 let counter_total t ?host name =
   List.fold_left (fun a (_, n) -> a + n) 0 (counter_windows t ?host name)
 
 let counter_windows_all t name =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun host ->
-      List.iter
-        (fun (w, n) ->
-          let prev = try Hashtbl.find tbl w with Not_found -> 0 in
-          Hashtbl.replace tbl w (prev + n))
-        (counter_windows t ~host name))
-    (hosts t name);
-  Hashtbl.fold (fun w n acc -> (w, n) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  List.map (fun (w, r) -> (w, !r))
+    (windows_all t t.counters ~combine:(fun x y -> ref (!x + !y)) name)
 
-let gauge_windows t ?(host = -1) name =
-  match Hashtbl.find_opt t.series (name, host) with
-  | None -> []
-  | Some s ->
-      sorted_cells s
-      |> List.filter_map (fun (w, c) ->
-             match c with
-             | Wgauge g -> Some (w, g.g_value, g.g_min, g.g_max)
-             | _ -> None)
+let gauge_windows t ?host name =
+  List.map (fun (w, g) -> (w, g.g_value, g.g_min, g.g_max)) (windows t.gauges ?host name)
 
 let gauge_last t ?(host = -1) name =
-  match Hashtbl.find_opt t.series (name, host) with
+  match Hashtbl.find_opt t.gauges (name, host) with
   | None -> None
-  | Some s ->
+  | Some cells ->
       Hashtbl.fold
-        (fun _ c acc ->
-          match (c, acc) with
-          | Wgauge g, None -> Some (g.g_stamp, g.g_value)
-          | Wgauge g, Some (stamp, _) when g.g_stamp > stamp ->
-              Some (g.g_stamp, g.g_value)
-          | _ -> acc)
-        s.s_cells None
+        (fun _ g acc ->
+          match acc with
+          | Some (stamp, _) when g.g_stamp <= stamp -> acc
+          | _ -> Some (g.g_stamp, g.g_value))
+        cells None
 
 let gauge_value t ?host ?(default = 0) name =
   match gauge_last t ?host name with None -> default | Some (_, v) -> v
 
-let hist_windows t ?(host = -1) name =
-  match Hashtbl.find_opt t.series (name, host) with
-  | None -> []
-  | Some s ->
-      sorted_cells s
-      |> List.filter_map (fun (w, c) ->
-             match c with Wdist h -> Some (w, h) | _ -> None)
-
-let hist_total t ?host name =
-  match hist_windows t ?host name with
-  | [] -> None
-  | (_, h) :: rest ->
-      Some (List.fold_left (fun a (_, h) -> Trace.Hist.merge a h) h rest)
-
-let hist_windows_all t name =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun host ->
-      List.iter
-        (fun (w, h) ->
-          match Hashtbl.find_opt tbl w with
-          | None -> Hashtbl.replace tbl w h
-          | Some prev -> Hashtbl.replace tbl w (Trace.Hist.merge prev h))
-        (hist_windows t ~host name))
-    (hosts t name);
-  Hashtbl.fold (fun w h acc -> (w, h) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let hist_windows_all t name = windows_all t t.hists ~combine:Trace.Hist.merge name
 
 let spans t = List.sort Causal.compare_span t.t_spans
 
 (* ---------------------------------------------------------------- *)
 (* Merge                                                             *)
 
-let merge_cell a b =
-  match (a, b) with
-  | Wcount x, Wcount y -> Wcount (ref (!x + !y))
-  | Wgauge x, Wgauge y ->
-      (* last-write-wins by stamp; ties resolve by larger value so the
-         result is independent of argument order. *)
-      let stamp, value =
-        if x.g_stamp > y.g_stamp then (x.g_stamp, x.g_value)
-        else if y.g_stamp > x.g_stamp then (y.g_stamp, y.g_value)
-        else (x.g_stamp, max x.g_value y.g_value)
-      in
-      Wgauge
-        {
-          g_stamp = stamp;
-          g_value = value;
-          g_min = min x.g_min y.g_min;
-          g_max = max x.g_max y.g_max;
-        }
-  | Wdist x, Wdist y -> Wdist (Trace.Hist.merge x y)
-  | _ -> invalid_arg "Telemetry.merge: instrument kinds disagree"
-
-let copy_cell = function
-  | Wcount r -> Wcount (ref !r)
-  | Wgauge g ->
-      Wgauge
-        { g_stamp = g.g_stamp; g_value = g.g_value; g_min = g.g_min;
-          g_max = g.g_max }
-  | Wdist h -> Wdist (Trace.Hist.merge h (Trace.Hist.create ()))
-
-let blend_into dst src =
+(* Fold [src]'s cells into [dst]'s table of the same kind: [copy] a cell
+   [dst] lacks, [combine] one it has. *)
+let blend_table ~copy ~combine dst src =
   Hashtbl.iter
-    (fun key s ->
+    (fun key cells ->
       let d =
-        match Hashtbl.find_opt dst.series key with
-        | Some d ->
-            if d.s_kind <> s.s_kind then
-              invalid_arg "Telemetry.merge: instrument kinds disagree";
-            d
+        match Hashtbl.find_opt dst key with
+        | Some d -> d
         | None ->
-            let d = { s_kind = s.s_kind; s_cells = Hashtbl.create 8 } in
-            Hashtbl.replace dst.series key d;
+            let d = Hashtbl.create 8 in
+            Hashtbl.replace dst key d;
             d
       in
       Hashtbl.iter
         (fun w c ->
-          match Hashtbl.find_opt d.s_cells w with
-          | None -> Hashtbl.replace d.s_cells w (copy_cell c)
-          | Some prev -> Hashtbl.replace d.s_cells w (merge_cell prev c))
-        s.s_cells)
-    src.series;
+          Hashtbl.replace d w
+            (match Hashtbl.find_opt d w with None -> copy c | Some prev -> combine prev c))
+        cells)
+    src
+
+let blend_gauge x y =
+  (* last-write-wins by stamp; ties resolve by larger value so the result
+     is independent of argument order. *)
+  let stamp, value =
+    if x.g_stamp > y.g_stamp then (x.g_stamp, x.g_value)
+    else if y.g_stamp > x.g_stamp then (y.g_stamp, y.g_value)
+    else (x.g_stamp, max x.g_value y.g_value)
+  in
+  { g_stamp = stamp; g_value = value; g_min = min x.g_min y.g_min; g_max = max x.g_max y.g_max }
+
+let blend_into dst src =
+  blend_table dst.counters src.counters ~copy:(fun r -> ref !r) ~combine:(fun x y -> ref (!x + !y));
+  blend_table dst.gauges src.gauges ~copy:(fun g -> { g with g_value = g.g_value }) ~combine:blend_gauge;
+  blend_table dst.hists src.hists
+    ~copy:(fun h -> Trace.Hist.merge h (Trace.Hist.create ()))
+    ~combine:Trace.Hist.merge;
   dst.t_samples <- dst.t_samples + src.t_samples;
   dst.t_spans <- src.t_spans @ dst.t_spans;
   dst.t_span_count <- dst.t_span_count + src.t_span_count;
@@ -552,6 +490,10 @@ let merge a b =
       in
       if a.live then blend_into m a;
       if b.live then blend_into m b;
+      (* a series is one kind in every input, or the merge is refused *)
+      let keys = fold_keys m List.cons [] in
+      if List.length keys <> List.length (List.sort_uniq compare keys) then
+        invalid_arg "Telemetry.merge: instrument kinds disagree";
       m
 
 let merge_all ts = List.fold_left merge null ts

@@ -48,8 +48,6 @@ val enabled : t -> bool
     so the disabled path stays allocation-free. *)
 
 val window_cycles : t -> int
-val window_of : t -> int -> int
-(** [window_of t cycles] is the window index holding stamp [cycles]. *)
 
 (** {1 Sampling}
 
@@ -107,12 +105,6 @@ val gauge_value : t -> ?host:int -> ?default:int -> string -> int
 
 val gauge_windows : t -> ?host:int -> string -> (int * int * int * int) list
 (** Per-window [(window, last, min, max)], ascending. *)
-
-val hist_windows : t -> ?host:int -> string -> (int * Trace.Hist.h) list
-(** Per-window histograms for one host's series, ascending by window. *)
-
-val hist_total : t -> ?host:int -> string -> Trace.Hist.h option
-(** All of one host's windows merged into a single histogram. *)
 
 val hist_windows_all : t -> string -> (int * Trace.Hist.h) list
 (** Per-window histograms merged across all hosts carrying [name]. *)

@@ -189,7 +189,6 @@ type t = {
          the next event lands in. Threaded by enter/exit/abort so a
          re-reader (the profiler) can sanity-check nesting without
          replaying the stream itself. *)
-  mutable last_cycles : int;  (* clock at the most recent recorded event *)
 }
 
 let dummy =
@@ -209,7 +208,6 @@ let null =
     hists = Hashtbl.create 1;
     open_spans = Hashtbl.create 1;
     span_stack = [];
-    last_cycles = 0;
   }
 
 let ring ?(cap = default_cap) () =
@@ -226,13 +224,11 @@ let ring ?(cap = default_cap) () =
     hists = Hashtbl.create 31;
     open_spans = Hashtbl.create 31;
     span_stack = [];
-    last_cycles = 0;
   }
 
 let enabled t = t.live
 let set_clock t f = if t.live then t.clock <- f
 let set_ctx t c = if t.live then t.cur <- c
-let current_ctx t = t.cur
 let count t = t.total
 let dropped t = t.total - t.len
 let capacity t = t.cap
@@ -245,8 +241,7 @@ let reset t =
     Array.fill t.buf 0 t.cap dummy;
     Hashtbl.reset t.hists;
     Hashtbl.reset t.open_spans;
-    t.span_stack <- [];
-    t.last_cycles <- 0
+    t.span_stack <- []
   end
 
 let push t ev =
@@ -258,8 +253,7 @@ let push t ev =
     t.buf.(t.start) <- ev;
     t.start <- (t.start + 1) mod t.cap
   end;
-  t.total <- t.total + 1;
-  if ev.cycles > t.last_cycles then t.last_cycles <- ev.cycles
+  t.total <- t.total + 1
 
 let events t =
   List.init t.len (fun i -> t.buf.((t.start + i) mod t.cap))
@@ -273,10 +267,6 @@ let fold t ~init ~f =
   let acc = ref init in
   iter t (fun ev -> acc := f !acc ev);
   !acc
-
-let open_stack t = t.span_stack
-let open_depth t = List.length t.span_stack
-let last_cycles t = t.last_cycles
 
 (* Remove the innermost frame of [kind] from the global stack; frames
    above it (dangling enters whose spans were aborted by an exception)

@@ -246,6 +246,3 @@ let ignore_signal t ~signum =
   Hashtbl.remove t.env.Abi.handlers signum;
   expect_unit t (Abi.Signal { signum; disposition = Abi.Ignore })
 
-let default_signal t ~signum =
-  Hashtbl.remove t.env.Abi.handlers signum;
-  expect_unit t (Abi.Signal { signum; disposition = Abi.Default })

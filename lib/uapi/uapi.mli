@@ -105,7 +105,6 @@ val on_signal : t -> signum:int -> (int -> unit) -> unit
 (** Install a user handler, run by the dispatch loop on delivery. *)
 
 val ignore_signal : t -> signum:int -> unit
-val default_signal : t -> signum:int -> unit
 
 val syscall : t -> Guest.Abi.call -> Guest.Abi.value
 (** Escape hatch used by the shim and by tests. *)

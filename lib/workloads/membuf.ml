@@ -1,8 +1,6 @@
 type t = { u : Uapi.t; base : Machine.Addr.vaddr; elems : int }
 
 let alloc u ~elems = { u; base = Uapi.malloc u (8 * elems); elems }
-let length t = t.elems
-let base_vaddr t = t.base
 
 let check t i = if i < 0 || i >= t.elems then invalid_arg "Membuf: index out of bounds"
 
@@ -17,8 +15,6 @@ let set t i v =
 type bytes_view = { bu : Uapi.t; bbase : Machine.Addr.vaddr; blen : int }
 
 let alloc_bytes u ~len = { bu = u; bbase = Uapi.malloc u len; blen = len }
-let byte_length v = v.blen
-let bytes_base v = v.bbase
 
 let check_b v i = if i < 0 || i >= v.blen then invalid_arg "Membuf: byte index out of bounds"
 
@@ -30,10 +26,3 @@ let set_byte v i x =
   check_b v i;
   Uapi.store_byte v.bu ~vaddr:(v.bbase + i) x
 
-let blit_in v ~pos data =
-  if pos < 0 || pos + Bytes.length data > v.blen then invalid_arg "Membuf.blit_in";
-  Uapi.store v.bu ~vaddr:(v.bbase + pos) data
-
-let blit_out v ~pos ~len =
-  if pos < 0 || pos + len > v.blen then invalid_arg "Membuf.blit_out";
-  Uapi.load v.bu ~vaddr:(v.bbase + pos) ~len

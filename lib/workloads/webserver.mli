@@ -22,5 +22,3 @@ val client : config -> request_fd:int -> response_fd:int -> Guest.Abi.program
 (** Issue [requests] round-trips, then the quit request; exits 0 only if
     every response body checks out. *)
 
-val request_bytes : int
-(** Fixed wire size of a request. *)
